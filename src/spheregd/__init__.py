@@ -24,19 +24,13 @@ from .objectives import (
     default_dl_eta,
     default_sep_eta,
     default_sep_mu,
-    dl_euclid_grad,
     dl_objective,
     dl_pop_grad_estimate,
     dl_pop_projected_grad_estimate,
     dl_projected_grad,
-    dl_riem_grad,
-    dl_value,
     log_cosh,
-    sep_euclid_grad,
     sep_objective,
     sep_projected_grad,
-    sep_riem_grad,
-    sep_value,
 )
 from .phase_retrieval import (
     PRDecomposition,

@@ -25,6 +25,7 @@ from . import landscape, phase_retrieval
 from .datagen import gen_instance
 from .descent import (
     STATUS_BALL,
+    STATUS_MAX,
     STATUS_NAN,
     BallStop,
     DescentConfig,
@@ -71,6 +72,9 @@ class ExperimentConfig:
     out_dir: str = "out"
     save_traces: bool = False
 
+    def __post_init__(self):  # every construction and replace() is validated
+        validate_config(self)
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -83,18 +87,15 @@ class RunSummary:
     status: str
 
 
-_INT_KEYS = {"n", "p", "max_iters", "num_seeds", "seed_base"}
-_FLOAT_KEYS = {"theta", "mu", "eta", "zeta0", "r_or_s", "c"}
-_BOOL_KEYS = {"save_traces"}
-_STR_KEYS = {"problem", "dictionary_mode", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def parse_config(path):
     """Read a flat key = value file; unknown keys are errors."""
-    raw = {}
+    vals = {}
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -104,44 +105,37 @@ def parse_config(path):
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (s.strip() for s in body.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in vals:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
-    return _build_config(raw)
-
-
-def _build_config(raw):
-    vals = {}
-    for key, value in raw.items():
+        kind = _KEY_TYPES[key]
         try:
-            if key in _INT_KEYS:
-                vals[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                vals[key] = float(value)
-            elif key in _BOOL_KEYS:
+            if kind is bool:
                 if value.lower() not in ("true", "false"):
                     raise ValueError("expected true/false")
                 vals[key] = value.lower() == "true"
             else:
-                vals[key] = value
+                vals[key] = kind(value)
         except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {e}")
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}")
     required = ("problem", "n", "num_seeds", "seed_base", "max_iters")
     missing = [k for k in required if k not in vals]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    cfg = ExperimentConfig(**vals)
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(**vals)
 
 
 def validate_config(cfg):
     if cfg.problem not in PROBLEMS:
         raise ConfigError(f"problem must be one of {PROBLEMS}, got {cfg.problem!r}")
+    for key, kind in _KEY_TYPES.items():
+        if kind is float and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite")
     if cfg.n < 2:
         raise ConfigError("n must be >= 2")
+    if cfg.seed_base < 0:
+        raise ConfigError("seed_base must be >= 0")
     if cfg.num_seeds < 1 or cfg.max_iters < 1:
         raise ConfigError("num_seeds and max_iters must be >= 1")
     for key in ("mu", "eta", "r_or_s"):
@@ -215,58 +209,35 @@ def config_hash(cfg):
 # batch runners
 
 
-def _run_sep_seed(cfg, seed):
-    rng = np.random.default_rng(seed)
-    q0 = sample_uniform_sphere(cfg.n, rng)
-    oracle = sep_objective(cfg.mu)
-    dcfg = DescentConfig(
-        eta=cfg.eta,
-        max_iters=cfg.max_iters,
-        stop_ball=BallStop(norm="linf", radius=cfg.r_or_s, center_mode="chart_origin"),
-    )
-    trace = riemannian_gd(oracle, q0, dcfg)
-    summary = RunSummary(
-        seed=seed,
-        success=trace.status == STATUS_BALL,
-        iterations=int(trace.iters[-1]),
-        final_f=float(trace.f[-1]),
-        final_dist=float(trace.dist_target[-1]),
-        final_zeta=float(trace.zeta[-1]),
-        status=trace.status,
-    )
-    return summary, trace
-
-
-def _run_dl_seed(cfg, seed):
-    rng = np.random.default_rng(seed)
-    inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
-    q0 = sample_uniform_sphere(cfg.n, rng)
-    oracle = dl_objective(inst.Y, cfg.mu)
-    dcfg = DescentConfig(
-        eta=cfg.eta,
-        max_iters=cfg.max_iters,
-        stop_ball=BallStop(norm="l2", radius=cfg.r_or_s, center_mode="best_signed_column"),
-    )
-    trace = riemannian_gd(oracle, q0, dcfg, target_basis=inst.A0)
-    _, err = recovery_error(trace.q_final, inst)
-    summary = RunSummary(
-        seed=seed,
-        success=trace.status == STATUS_BALL,
-        iterations=int(trace.iters[-1]),
-        final_f=float(trace.f[-1]),
-        final_dist=err,
-        final_zeta=float(trace.zeta[-1]),
-        status=trace.status,
-    )
-    return summary, trace
-
-
 def _run_one(args):
+    """One seeded descent.  The problem picks the oracle, the stop ball and
+    the target basis; a dictionary seed draws its instance before q0."""
     cfg, seed = args
+    rng = np.random.default_rng(seed)
+    inst = None
     if cfg.problem == "separable":
-        summary, trace = _run_sep_seed(cfg, seed)
+        oracle = sep_objective(cfg.mu)
+        ball = BallStop(norm="linf", radius=cfg.r_or_s, center_mode="chart_origin")
     else:
-        summary, trace = _run_dl_seed(cfg, seed)
+        inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
+        oracle = dl_objective(inst.Y, cfg.mu)
+        ball = BallStop(norm="l2", radius=cfg.r_or_s, center_mode="best_signed_column")
+    q0 = sample_uniform_sphere(cfg.n, rng)
+    dcfg = DescentConfig(eta=cfg.eta, max_iters=cfg.max_iters, stop_ball=ball)
+    trace = riemannian_gd(oracle, q0, dcfg, target_basis=None if inst is None else inst.A0)
+    if inst is None:
+        final_dist = float(trace.dist_target[-1])
+    else:
+        final_dist = recovery_error(trace.q_final, inst)[1]
+    summary = RunSummary(
+        seed=seed,
+        success=trace.status == STATUS_BALL,
+        iterations=int(trace.iters[-1]),
+        final_f=float(trace.f[-1]),
+        final_dist=final_dist,
+        final_zeta=float(trace.zeta[-1]),
+        status=trace.status,
+    )
     return summary, (trace if cfg.save_traces else None)
 
 
@@ -311,7 +282,7 @@ def _run_pr_batch(cfg):
                 final_f=float(phase_retrieval.pr_value(run.final_z, x)),
                 final_dist=run.final_dist,
                 final_zeta=run.min_zeta,
-                status=STATUS_BALL if run.converged else "max_iters",
+                status=STATUS_BALL if run.converged else STATUS_MAX,
             )
         )
     extras = {
@@ -368,15 +339,9 @@ def write_trace_csv(path, trace, cfg, seed):
         f.write(f"# seed_base={cfg.seed_base}\n")
         f.write(f"# seed={seed}\n")
         f.write(",".join(TRACE_COLUMNS) + "\n")
+        cols = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]  # DescentTrace fields
         for k in range(trace.iters.size):
-            row = (
-                str(int(trace.iters[k])),
-                _fmt(float(trace.f[k])),
-                _fmt(float(trace.grad_norm[k])),
-                _fmt(float(trace.zeta[k])),
-                _fmt(float(trace.w_inf[k])),
-                _fmt(float(trace.dist_target[k])),
-            )
+            row = [str(int(trace.iters[k]))] + [_fmt(float(col[k])) for col in cols]
             f.write(",".join(row) + "\n")
 
 
@@ -417,6 +382,8 @@ def _cmd_run(args):
         cfg = replace(cfg, out_dir=args.out)
     if args.save_traces:
         cfg = replace(cfg, save_traces=True)
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     expected = {"run-sep": "separable", "run-dl": "dictionary", "run-pr": "phase_retrieval"}[args.command]
     if cfg.problem != expected:
         raise ConfigError(f"{args.command} needs problem = {expected}, config says {cfg.problem!r}")
@@ -437,7 +404,7 @@ def _cmd_run(args):
         frac = sum(s.success for s in summaries) / len(summaries)
         sigma = math.sqrt(max(frac * (1.0 - frac), 1.0 / len(summaries)) / len(summaries))
         if cfg.problem == "separable":
-            gate = max(0.0, 1.0 - 2.0 * math.log(cfg.n) * cfg.zeta0) - 3.0 * sigma
+            gate = extras["theory_success_bound"] - 3.0 * sigma
         elif cfg.problem == "dictionary":
             gate = 0.9
         else:
@@ -600,6 +567,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as e:
         print(f"spheregd: config error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as e:  # an argument the library rejects, e.g. a probe parameter
+        print(f"spheregd: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

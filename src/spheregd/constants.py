@@ -7,6 +7,9 @@ pinned in two places.
 # sphere membership after construction and after every geodesic step
 UNIT_NORM_TOL = 1e-12
 
+# accepted deviation of a descent start point's norm from 1
+START_NORM_TOL = 1e-9
+
 # <q, v> for tangent vectors at q
 TANGENT_TOL = 1e-10
 

@@ -5,6 +5,7 @@ from typing import Optional
 
 import numpy as np
 
+from .constants import START_NORM_TOL
 from .sphere import exp_map
 
 STATUS_BALL = "ball_entered"
@@ -116,7 +117,7 @@ def riemannian_gd(objective, q0, cfg, target_basis=None):
     gradient aborts the run with status "aborted_nan"; nothing is clamped.
     """
     q = np.asarray(q0, dtype=float).copy()
-    if abs(np.linalg.norm(q) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(q) - 1.0) > START_NORM_TOL:
         raise ValueError("q0 must have unit norm")
     R = None
     if target_basis is not None:

@@ -101,32 +101,28 @@ def u_direction(w, i):
     return NegCurvDirection(w=w.copy(), index=int(i), dir=d)
 
 
+def _section_block(n, m, rng):
+    """Rows of m uniform points on S^{n-1}, with their q_n (a copy) and ||w||_inf."""
+    g = rng.standard_normal((m, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g, g[:, -1].copy(), np.abs(g[:, :-1]).max(axis=1)
+
+
 def volume_estimate(n, zeta0, num_samples, rng, block=200_000):
     """Monte-Carlo fraction of the sphere lying in the single zeta0 section.
 
     Membership is raw (no canonicalization): the last coordinate must
     dominate.  Returns (fraction, binomial standard error).
     """
-    if num_samples < 10_000:
-        raise ValueError("need num_samples >= 1e4 for a meaningful estimate")
-    thresh = (1.0 + zeta0) * (1.0 - C_ZETA_BOUNDARY_TOL)
-    hits = 0
-    done = 0
-    while done < num_samples:
-        m = int(min(block, num_samples - done))
-        g = rng.standard_normal((m, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        winf = np.abs(g[:, :-1]).max(axis=1)
-        hits += int(np.count_nonzero(g[:, -1] >= thresh * winf))
-        done += m
-    frac = hits / num_samples
-    se = float(np.sqrt(frac * (1.0 - frac) / num_samples))
-    return frac, se
+    frac = float(volume_curve(n, [zeta0], num_samples, rng, block)[0])
+    return frac, float(np.sqrt(frac * (1.0 - frac) / num_samples))
 
 
 def volume_curve(n, zetas, num_samples, rng, block=200_000):
     """Section-volume fractions over a zeta grid, sharing one sample pool so
     the estimates are exactly nested (monotone nonincreasing in zeta)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     if num_samples < 10_000:
         raise ValueError("need num_samples >= 1e4 for a meaningful estimate")
     zetas = np.asarray(zetas, dtype=float)
@@ -134,10 +130,7 @@ def volume_curve(n, zetas, num_samples, rng, block=200_000):
     done = 0
     while done < num_samples:
         m = int(min(block, num_samples - done))
-        g = rng.standard_normal((m, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        winf = np.abs(g[:, :-1]).max(axis=1)
-        qn = g[:, -1]
+        qn, winf = _section_block(n, m, rng)[1:]  # frees the block before the next draw
         for k, z in enumerate(zetas):
             hits[k] += int(np.count_nonzero(qn >= (1.0 + z) * (1.0 - C_ZETA_BOUNDARY_TOL) * winf))
         done += m
@@ -147,12 +140,9 @@ def volume_curve(n, zetas, num_samples, rng, block=200_000):
 def sample_uniform_c_zeta(n, zeta0, rng, block=4096, max_blocks=5000):
     """Uniform sphere point conditioned on the canonical zeta0 section
     (rejection sampling)."""
-    thresh = (1.0 + zeta0) * (1.0 - C_ZETA_BOUNDARY_TOL)
     for _ in range(max_blocks):
-        g = rng.standard_normal((block, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        winf = np.abs(g[:, :-1]).max(axis=1)
-        ok = np.flatnonzero(g[:, -1] >= thresh * winf)
+        g, qn, winf = _section_block(n, block, rng)
+        ok = np.flatnonzero(qn >= (1.0 + zeta0) * (1.0 - C_ZETA_BOUNDARY_TOL) * winf)
         if ok.size:
             return g[ok[0]].copy()
     raise RuntimeError(f"rejection sampling failed: section zeta0={zeta0} too small at n={n}")

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .sphere import chart_to_sphere, tangent_project
+from .sphere import chart_to_sphere
 
 _LOG2 = float(np.log(2.0))
 
@@ -46,23 +46,9 @@ def log_cosh(t, mu):
     return mu * (a - _LOG2 + np.log1p(np.exp(-2.0 * a)))
 
 
-def sep_value(q, mu):
-    """Separable objective: sum_i mu log cosh(q_i / mu)."""
-    return float(np.sum(log_cosh(q, mu)))
-
-
-def sep_euclid_grad(q, mu):
-    """Euclidean gradient of the separable objective: tanh(q / mu) elementwise."""
-    return np.tanh(np.asarray(q, dtype=float) / mu)
-
-
-def sep_riem_grad(q, mu):
-    """Riemannian gradient: the Euclidean one projected onto the tangent space."""
-    return tangent_project(q, sep_euclid_grad(q, mu))
-
-
 def sep_objective(mu):
-    """Oracle q -> (value, Riemannian gradient) for the separable objective."""
+    """Oracle q -> (value, Riemannian gradient) for the separable objective
+    sum_i mu log cosh(q_i / mu)."""
     check_mu(mu)
 
     def oracle(q):
@@ -95,34 +81,13 @@ def sep_projected_grad(w, i, mu):
     return float(np.tanh(a / mu) - np.tanh(qn / mu) * a / qn)
 
 
-def _check_data(q, Y):
-    q = np.asarray(q, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != q.shape[0]:
-        raise ValueError(f"data matrix shape {Y.shape} incompatible with point of length {q.shape[0]}")
-    return q, Y
-
-
-def dl_value(q, Y, mu):
-    """Data objective: average of mu log cosh(q'y_k / mu) over columns y_k."""
-    q, Y = _check_data(q, Y)
-    return float(np.mean(log_cosh(Y.T @ q, mu)))
-
-
-def dl_euclid_grad(q, Y, mu):
-    """Euclidean gradient of the data objective: (1/p) sum tanh(q'y_k/mu) y_k."""
-    q, Y = _check_data(q, Y)
-    return Y @ np.tanh(Y.T @ q / mu) / Y.shape[1]
-
-
-def dl_riem_grad(q, Y, mu):
-    return tangent_project(q, dl_euclid_grad(q, Y, mu))
-
-
 def dl_objective(Y, mu):
-    """Oracle q -> (value, Riemannian gradient) for the data objective."""
+    """Oracle q -> (value, Riemannian gradient) for the data objective:
+    the average of mu log cosh(q'y_k / mu) over the columns y_k of Y."""
     check_mu(mu)
     Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"data matrix must be 2-D, got shape {Y.shape}")
     YT = Y.T.copy()
     p = Y.shape[1]
 
@@ -142,7 +107,9 @@ def dl_projected_grad(w, i, Y, mu):
     if w[i] == 0.0:
         raise ValueError("w_i = 0: coordinate sign undefined")
     q = chart_to_sphere(w)
-    _, Y = _check_data(q, Y)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != q.shape[0]:
+        raise ValueError(f"data matrix shape {Y.shape} incompatible with point of length {q.shape[0]}")
     si = 1.0 if w[i] > 0 else -1.0
     t = np.tanh(Y.T @ q / mu)
     proj = si * Y[i, :] - (abs(float(w[i])) / q[-1]) * Y[-1, :]

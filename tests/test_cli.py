@@ -23,6 +23,18 @@ zeta0 = 0.1
 save_traces = true
 """
 
+DL_CFG = """\
+problem = dictionary
+n = 6
+p = 200
+theta = 0.25
+eta = 0.01
+num_seeds = 3
+seed_base = 5
+max_iters = 3000
+save_traces = true
+"""
+
 
 def _write(tmp_path, name, text):
     p = tmp_path / name
@@ -70,6 +82,46 @@ def test_cli_wrong_problem_for_command(tmp_path):
     assert main(["run-dl", "--config", path]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "edit, argv",
+    [
+        (("seed_base = 11", "seed_base = -1"), ["run-sep"]),
+        (None, ["run-sep", "--seed", "-1"]),
+        (None, ["run-sep", "--jobs", "0"]),
+        (None, ["run-sep", "--jobs", "-3"]),
+        (("zeta0 = 0.1", "zeta0 = 0.1\neta = nan"), ["run-sep"]),
+        (("zeta0 = 0.1", "zeta0 = inf"), ["run-sep"]),
+        (None, ["probe-volume", "--n", "3", "--zeta", "0", "--samples", "5"]),
+        (None, ["probe-volume", "--n", "1", "--zeta", "0", "--samples", "20000"]),
+        (None, ["probe-critical", "--n", "20"]),
+        (None, ["probe-fluctuation", "--n", "6", "--p-list", "1000,100"]),
+        (None, ["probe-projection", "--n", "6", "--zetas", "0,0.5"]),
+        (None, ["probe-projection", "--n", "6", "--zetas", "a"]),
+    ],
+    ids=[
+        "seed_base-negative",
+        "seed-override-negative",
+        "jobs-0",
+        "jobs-negative",
+        "eta-nan",
+        "zeta0-inf",
+        "volume-few-samples",
+        "volume-n1",
+        "critical-n-over-guard",
+        "fluctuation-p-list-decreasing",
+        "projection-zeta-zero",
+        "projection-zeta-not-a-number",
+    ],
+)
+def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
+    if argv[0] == "run-sep":
+        text = SEP_CFG if edit is None else SEP_CFG.replace(*edit)
+        argv = argv + ["--config", _write(tmp_path, "a.cfg", text), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spheregd: ")
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -88,10 +140,11 @@ def test_run_sep_outputs_and_traces(tmp_path):
     assert trace[3] == "iter,f,grad_norm,zeta,w_inf,dist_target"
 
 
-def test_run_sep_jobs_equivalence(tmp_path):
-    cfg = _write(tmp_path, "a.cfg", SEP_CFG)
-    assert main(["run-sep", "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
-    assert main(["run-sep", "--config", cfg, "--out", str(tmp_path / "o2"), "--jobs", "2"]) == EXIT_OK
+@pytest.mark.parametrize("command, text", [("run-sep", SEP_CFG), ("run-dl", DL_CFG)], ids=["sep", "dl"])
+def test_run_jobs_equivalence(tmp_path, command, text):
+    cfg = _write(tmp_path, "a.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o2"), "--jobs", "2"]) == EXIT_OK
     s1 = (tmp_path / "o1" / "summary.txt").read_text()
     s2 = (tmp_path / "o2" / "summary.txt").read_text()
     assert [l for l in s1.splitlines() if not l.startswith("out_dir")] == [

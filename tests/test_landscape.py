@@ -15,7 +15,7 @@ from spheregd.landscape import (
     volume_curve,
     volume_estimate,
 )
-from spheregd.objectives import sep_chart_grad, sep_objective, sep_riem_grad
+from spheregd.objectives import sep_chart_grad, sep_objective
 from spheregd.sphere import chart_to_sphere, exp_map, sample_uniform_sphere, scale_to_zeta
 
 
@@ -47,9 +47,9 @@ def test_enumeration_guard():
 
 def test_critical_points_have_zero_gradient():
     for n in (2, 4, 6):
-        mu = 0.02
+        oracle = sep_objective(0.02)
         for cp in enumerate_critical_points(n):
-            g = sep_riem_grad(cp.point, mu)
+            g = oracle(cp.point)[1]
             assert np.linalg.norm(g) <= CRITICAL_GRAD_TOL
 
 
@@ -152,6 +152,11 @@ def test_volume_estimate_symmetric_section():
 def test_volume_guard():
     with pytest.raises(ValueError):
         volume_estimate(3, 0.0, 100, np.random.default_rng(0))
+
+
+def test_volume_estimate_matches_curve():
+    frac, _ = volume_estimate(4, 0.2, 50_000, np.random.default_rng(9))
+    assert frac == volume_curve(4, [0.2], 50_000, np.random.default_rng(9))[0]
 
 
 def test_volume_monotone_in_zeta():

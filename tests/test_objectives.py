@@ -6,24 +6,15 @@ from spheregd.constants import CROSS_CHECK_TOL
 from spheregd.landscape import u_direction
 from spheregd.objectives import (
     check_mu,
-    dl_euclid_grad,
+    dl_objective,
     dl_pop_grad_estimate,
     dl_pop_projected_grad_estimate,
-    dl_riem_grad,
-    dl_value,
     log_cosh,
     sep_chart_grad,
-    sep_euclid_grad,
+    sep_objective,
     sep_projected_grad,
-    sep_riem_grad,
-    sep_value,
 )
-from spheregd.sphere import (
-    chart_to_sphere,
-    sample_uniform_sphere,
-    scale_to_zeta,
-    tangent_project,
-)
+from spheregd.sphere import chart_to_sphere, sample_uniform_sphere, scale_to_zeta
 
 
 def test_log_cosh_values():
@@ -51,20 +42,20 @@ def test_mu_validation():
 
 def test_sep_grad_vanishes_at_critical_points():
     for n in (3, 8):
-        mu = 0.02
-        assert np.linalg.norm(sep_riem_grad(np.eye(n)[-1], mu)) <= 1e-12
+        oracle = sep_objective(0.02)
+        assert np.linalg.norm(oracle(np.eye(n)[-1])[1]) <= 1e-12
         q = np.full(n, 1.0 / np.sqrt(n))
-        assert np.linalg.norm(sep_riem_grad(q, mu)) <= 1e-12
+        assert np.linalg.norm(oracle(q)[1]) <= 1e-12
 
 
 def test_sep_gradient_fd():
-    mu = 0.05
+    oracle = sep_objective(0.05)
     rng = np.random.default_rng(1)
     for n in (3, 10):
         for _ in range(10):
             q = sample_uniform_sphere(n, rng)
-            g = sep_riem_grad(q, mu)
-            gf = fd_riem_grad(lambda qq: sep_value(qq, mu), q)
+            g = oracle(q)[1]
+            gf = fd_riem_grad(lambda qq: oracle(qq)[0], q)
             assert np.linalg.norm(gf - g) <= 1e-6 * np.linalg.norm(g)
 
 
@@ -91,6 +82,7 @@ def test_sep_projected_grad_zero_coordinate_errors():
 def test_sep_projected_grad_matches_vector_route():
     rng = np.random.default_rng(2)
     mu = 0.02
+    oracle = sep_objective(mu)
     for _ in range(100):
         w = rng.uniform(-0.4, 0.4, size=5)
         if np.linalg.norm(w) >= 0.95:
@@ -100,7 +92,7 @@ def test_sep_projected_grad_matches_vector_route():
             continue
         q = chart_to_sphere(w)
         u = u_direction(w, i).dir
-        direct = u @ tangent_project(q, sep_euclid_grad(q, mu))
+        direct = u @ oracle(q)[1]
         assert abs(direct - sep_projected_grad(w, i, mu)) <= CROSS_CHECK_TOL
 
 
@@ -120,25 +112,26 @@ def test_dl_trivial_cases():
     n = 4
     en = np.eye(n)[-1]
     Y = en.reshape(-1, 1)
-    assert np.linalg.norm(dl_riem_grad(en, Y, 0.05)) <= 1e-12
-    Z = np.zeros((n, 6))
-    assert dl_value(en, Z, 0.05) == 0.0
-    assert np.array_equal(dl_euclid_grad(en, Z, 0.05), np.zeros(n))
+    assert np.linalg.norm(dl_objective(Y, 0.05)(en)[1]) <= 1e-12
+    val, g = dl_objective(np.zeros((n, 6)), 0.05)(en)
+    assert val == 0.0
+    assert np.array_equal(g, np.zeros(n))
 
 
 def test_dl_dimension_mismatch():
     with pytest.raises(ValueError):
-        dl_value(np.zeros(3), np.zeros((4, 5)), 0.05)
+        dl_objective(np.zeros((4, 5)), 0.05)(np.zeros(3))
+    with pytest.raises(ValueError):
+        dl_objective(np.zeros(4), 0.05)
 
 
 def test_dl_gradient_fd():
-    mu = 0.05
     rng = np.random.default_rng(4)
-    Y = rng.standard_normal((5, 20))
+    oracle = dl_objective(rng.standard_normal((5, 20)), 0.05)
     for _ in range(20):
         q = sample_uniform_sphere(5, rng)
-        g = dl_riem_grad(q, Y, mu)
-        gf = fd_riem_grad(lambda qq: dl_value(qq, Y, mu), q)
+        g = oracle(q)[1]
+        gf = fd_riem_grad(lambda qq: oracle(qq)[0], q)
         assert np.linalg.norm(gf - g) <= 1e-6 * np.linalg.norm(g)
 
 
@@ -156,15 +149,17 @@ def test_euclid_grad_lipschitz():
 def test_gradient_norm_bounds():
     rng = np.random.default_rng(6)
     mu = 0.01
+    sep = sep_objective(mu)
     for n in (5, 20):
         for _ in range(50):
             q = sample_uniform_sphere(n, rng)
-            assert np.linalg.norm(sep_riem_grad(q, mu)) <= np.sqrt(n)
+            assert np.linalg.norm(sep(q)[1]) <= np.sqrt(n)
         Y = rng.standard_normal((n, 30)) * (rng.random((n, 30)) < 0.4)
         xinf = np.max(np.abs(Y))
+        dl = dl_objective(Y, mu)
         for _ in range(20):
             q = sample_uniform_sphere(n, rng)
-            assert np.linalg.norm(dl_riem_grad(q, Y, mu)) <= np.sqrt(n) * max(xinf, 1e-12)
+            assert np.linalg.norm(dl(q)[1]) <= np.sqrt(n) * max(xinf, 1e-12)
 
 
 def test_projection_positivity_linear_in_zeta():
