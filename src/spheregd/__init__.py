@@ -11,7 +11,6 @@ from .descent import (
 )
 from .landscape import (
     CriticalPoint,
-    NegCurvDirection,
     enumerate_critical_points,
     fluctuation_probe,
     predict_flow_limit,

@@ -88,6 +88,13 @@ class RunSummary:
 
 
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_COMMON_KEYS = {"problem", "n", "num_seeds", "seed_base", "max_iters", "out_dir"}
+# the keys each problem reads; any other key must keep its default
+_PROBLEM_KEYS = {
+    "separable": _COMMON_KEYS | {"mu", "eta", "zeta0", "r_or_s", "save_traces"},
+    "dictionary": _COMMON_KEYS | {"p", "theta", "mu", "eta", "r_or_s", "dictionary_mode", "save_traces"},
+    "phase_retrieval": _COMMON_KEYS | {"eta", "zeta0", "c"},
+}
 
 
 def parse_config(path):
@@ -129,6 +136,9 @@ def parse_config(path):
 def validate_config(cfg):
     if cfg.problem not in PROBLEMS:
         raise ConfigError(f"problem must be one of {PROBLEMS}, got {cfg.problem!r}")
+    for f in fields(cfg):
+        if f.name not in _PROBLEM_KEYS[cfg.problem] and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f"problem {cfg.problem} does not read {f.name!r}; leave it unset")
     for key, kind in _KEY_TYPES.items():
         if kind is float and not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key} must be finite")
@@ -155,7 +165,7 @@ def validate_config(cfg):
 
 
 def resolve_config(cfg):
-    """Fill problem defaults for mu, eta and the target radius."""
+    """Fill the problem's defaults for mu, eta and the target radius it reads."""
     mu, eta, r_or_s = cfg.mu, cfg.eta, cfg.r_or_s
     if cfg.problem == "separable":
         if mu == 0.0:
@@ -171,11 +181,8 @@ def resolve_config(cfg):
             r_or_s = 0.15
         if eta == 0.0:
             eta = float(default_dl_eta(cfg.n, cfg.p, cfg.theta, r_or_s))
-    else:  # phase_retrieval: mu unused; eta defaults to 0.95 of the admissible cap
-        if eta == 0.0:
-            eta = 0.95 * math.sqrt(cfg.c) / 4.0  # unit-norm signal
-        if r_or_s == 0.0:
-            r_or_s = math.sqrt(5.0 * cfg.c)
+    elif eta == 0.0:  # phase_retrieval: eta defaults to 0.95 of the admissible cap
+        eta = 0.95 * math.sqrt(cfg.c) / 4.0  # unit-norm signal
     return replace(cfg, mu=mu, eta=eta, r_or_s=r_or_s)
 
 
@@ -217,11 +224,11 @@ def _run_one(args):
     inst = None
     if cfg.problem == "separable":
         oracle = sep_objective(cfg.mu)
-        ball = BallStop(norm="linf", radius=cfg.r_or_s, center_mode="chart_origin")
+        ball = BallStop(norm="linf", radius=cfg.r_or_s)
     else:
         inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
         oracle = dl_objective(inst.Y, cfg.mu)
-        ball = BallStop(norm="l2", radius=cfg.r_or_s, center_mode="best_signed_column")
+        ball = BallStop(norm="l2", radius=cfg.r_or_s)
     q0 = sample_uniform_sphere(cfg.n, rng)
     dcfg = DescentConfig(eta=cfg.eta, max_iters=cfg.max_iters, stop_ball=ball)
     trace = riemannian_gd(oracle, q0, dcfg, target_basis=None if inst is None else inst.A0)
@@ -266,17 +273,18 @@ def run_batch(cfg, jobs=1):
 
 
 def _run_pr_batch(cfg):
-    rng = np.random.default_rng(cfg.seed_base)
+    seeds = range(cfg.seed_base, cfg.seed_base + cfg.num_seeds)
     x = np.zeros(cfg.n, dtype=complex)
     x[0] = 1.0  # unit-norm signal; the dynamics only see ||x|| and the span
     exp = phase_retrieval.pr_experiment(
-        cfg.n, x, cfg.eta, cfg.c, cfg.zeta0, cfg.num_seeds, rng, max_iters=cfg.max_iters
+        cfg.n, x, cfg.eta, cfg.c, cfg.zeta0, [np.random.default_rng(s) for s in seeds],
+        max_iters=cfg.max_iters,
     )
     summaries = []
-    for k, run in enumerate(exp.runs):
+    for seed, run in zip(seeds, exp.runs):
         summaries.append(
             RunSummary(
-                seed=cfg.seed_base + k,
+                seed=seed,
                 success=run.converged,
                 iterations=run.iterations,
                 final_f=float(phase_retrieval.pr_value(run.final_z, x)),
@@ -387,6 +395,8 @@ def _cmd_run(args):
     expected = {"run-sep": "separable", "run-dl": "dictionary", "run-pr": "phase_retrieval"}[args.command]
     if cfg.problem != expected:
         raise ConfigError(f"{args.command} needs problem = {expected}, config says {cfg.problem!r}")
+    if args.jobs > 1 and cfg.problem == "phase_retrieval":
+        raise ConfigError("run-pr runs in one process; it does not read --jobs")
     cfg = resolve_config(cfg)
     summaries, traces, extras = run_batch(cfg, jobs=args.jobs)
 
@@ -483,14 +493,14 @@ def _cmd_probe_pr_identities(args):
     x[0] = 1.0
     eta = 0.95 * phase_retrieval.max_step_size(x, args.c)
     z0 = phase_retrieval.sample_ball(args.n, 1.0 / math.sqrt(2.0), rng)
-    run = phase_retrieval.pr_descend(z0, x, eta, args.c, args.steps)
+    run = phase_retrieval.pr_descend(z0, x, eta, args.c, args.steps, stop_at_target=False)
     meta = _params_meta(args, ("n", "steps", "c", "seed"))
     _emit_table(
         args.out,
         "probe-pr-identities",
         meta,
         ("steps", "max_zeta_rel_dev", "max_w_rel_dev", "converged"),
-        [(args.steps, run.max_zeta_dev, run.max_w_dev, int(run.converged))],
+        [(run.iterations, run.max_zeta_dev, run.max_w_dev, int(run.converged))],
     )
     return EXIT_OK
 

@@ -20,19 +20,16 @@ class BallStop:
 
     norm: "linf" or "l2" on the chart vector of the canonicalized iterate,
     measured in the run frame (the target basis when one is supplied to
-    riemannian_gd, identity otherwise).  center_mode records which target set
-    the ball is around; "best_signed_column" requires a target basis.
+    riemannian_gd, identity otherwise), so the ball is around the nearest
+    signed target.
     """
 
     norm: str = "linf"
     radius: float = 0.0
-    center_mode: str = "chart_origin"
 
     def __post_init__(self):
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"unknown ball norm {self.norm!r}")
-        if self.center_mode not in ("chart_origin", "best_signed_column"):
-            raise ValueError(f"unknown center_mode {self.center_mode!r}")
         if self.radius <= 0.0:
             raise ValueError("ball radius must be positive")
 
@@ -123,8 +120,6 @@ def riemannian_gd(objective, q0, cfg, target_basis=None):
     if target_basis is not None:
         R = np.asarray(target_basis, dtype=float)
     ball = cfg.stop_ball
-    if ball is not None and ball.center_mode == "best_signed_column" and R is None:
-        raise ValueError("center_mode 'best_signed_column' needs a target_basis")
 
     it_l, f_l, g_l, z_l, wi_l, d_l = [], [], [], [], [], []
     status = STATUS_MAX

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TIE_TOL, C_ZETA_BOUNDARY_TOL
+from .constants import TIE_TOL
 from .datagen import gen_bg_matrix
 from .objectives import (
+    check_mu,
     dl_pop_projected_grad_estimate,
     dl_projected_grad,
     sep_projected_grad,
 )
-from .sphere import chart_to_sphere, scale_to_zeta
+from .sphere import chart_to_sphere, in_section, scale_to_zeta
 
 ENUMERATION_MAX_N = 12  # 3^n - 1 points; keep the blow-up bounded
 
@@ -64,33 +65,24 @@ def enumerate_critical_points(n):
     return out
 
 
-def predict_flow_limit(q, tie_tol=TIE_TOL):
+def predict_flow_limit(q):
     """Critical point that gradient flow from q converges to: coordinates
-    within tie_tol of the maximal magnitude keep their signs, the rest vanish."""
+    within TIE_TOL of the maximal magnitude keep their signs, the rest vanish."""
     q = np.asarray(q, dtype=float)
     m = float(np.max(np.abs(q)))
-    pattern = tuple(int(np.sign(v)) if abs(v) >= m - tie_tol else 0 for v in q)
+    pattern = tuple(int(np.sign(v)) if abs(v) >= m - TIE_TOL else 0 for v in q)
     k = sum(1 for v in pattern if v != 0)
     return CriticalPoint(pattern=pattern, support_size=k, kind=classify_support(k, q.size))
 
 
-def stable_manifold_membership(q, cp, tie_tol=TIE_TOL):
+def stable_manifold_membership(q, cp):
     """Whether q lies on the stable manifold of cp: the maximal-magnitude
     coordinate set of q must equal cp's support with matching signs."""
-    return predict_flow_limit(q, tie_tol=tie_tol).pattern == cp.pattern
-
-
-@dataclass(frozen=True, eq=False)
-class NegCurvDirection:
-    """Outward tangent direction across the section boundary at q(w)."""
-
-    w: np.ndarray
-    index: int
-    dir: np.ndarray  # n-vector: e_i sign(w_i) - e_n |w_i|/q_n
+    return predict_flow_limit(q).pattern == cp.pattern
 
 
 def u_direction(w, i):
-    """Outward tangent direction at q(w) for coordinate i (w_i != 0)."""
+    """Outward tangent direction e_i sign(w_i) - e_n |w_i|/q_n at q(w), w_i != 0."""
     w = np.asarray(w, dtype=float)
     if w[i] == 0.0:
         raise ValueError("w_i = 0: outward direction undefined")
@@ -98,7 +90,7 @@ def u_direction(w, i):
     d = np.zeros(q.size)
     d[i] = 1.0 if w[i] > 0 else -1.0
     d[-1] = -abs(float(w[i])) / q[-1]
-    return NegCurvDirection(w=w.copy(), index=int(i), dir=d)
+    return d
 
 
 def _section_block(n, m, rng):
@@ -108,17 +100,17 @@ def _section_block(n, m, rng):
     return g, g[:, -1].copy(), np.abs(g[:, :-1]).max(axis=1)
 
 
-def volume_estimate(n, zeta0, num_samples, rng, block=200_000):
+def volume_estimate(n, zeta0, num_samples, rng):
     """Monte-Carlo fraction of the sphere lying in the single zeta0 section.
 
     Membership is raw (no canonicalization): the last coordinate must
     dominate.  Returns (fraction, binomial standard error).
     """
-    frac = float(volume_curve(n, [zeta0], num_samples, rng, block)[0])
+    frac = float(volume_curve(n, [zeta0], num_samples, rng)[0])
     return frac, float(np.sqrt(frac * (1.0 - frac) / num_samples))
 
 
-def volume_curve(n, zetas, num_samples, rng, block=200_000):
+def volume_curve(n, zetas, num_samples, rng):
     """Section-volume fractions over a zeta grid, sharing one sample pool so
     the estimates are exactly nested (monotone nonincreasing in zeta)."""
     if n < 2:
@@ -126,23 +118,25 @@ def volume_curve(n, zetas, num_samples, rng, block=200_000):
     if num_samples < 10_000:
         raise ValueError("need num_samples >= 1e4 for a meaningful estimate")
     zetas = np.asarray(zetas, dtype=float)
+    if not np.all((zetas >= 0.0) & (zetas < np.inf)):
+        raise ValueError("zeta must be finite and >= 0")
     hits = np.zeros(zetas.size, dtype=np.int64)
     done = 0
     while done < num_samples:
-        m = int(min(block, num_samples - done))
+        m = int(min(200_000, num_samples - done))  # the block size fixes a seed's draws
         qn, winf = _section_block(n, m, rng)[1:]  # frees the block before the next draw
         for k, z in enumerate(zetas):
-            hits[k] += int(np.count_nonzero(qn >= (1.0 + z) * (1.0 - C_ZETA_BOUNDARY_TOL) * winf))
+            hits[k] += int(np.count_nonzero(in_section(qn, winf, z)))
         done += m
     return hits / num_samples
 
 
-def sample_uniform_c_zeta(n, zeta0, rng, block=4096, max_blocks=5000):
+def sample_uniform_c_zeta(n, zeta0, rng):
     """Uniform sphere point conditioned on the canonical zeta0 section
-    (rejection sampling)."""
-    for _ in range(max_blocks):
-        g, qn, winf = _section_block(n, block, rng)
-        ok = np.flatnonzero(qn >= (1.0 + zeta0) * (1.0 - C_ZETA_BOUNDARY_TOL) * winf)
+    (rejection sampling in up to 5000 blocks of 4096 points)."""
+    for _ in range(5000):
+        g, qn, winf = _section_block(n, 4096, rng)
+        ok = np.flatnonzero(in_section(qn, winf, zeta0))
         if ok.size:
             return g[ok[0]].copy()
     raise RuntimeError(f"rejection sampling failed: section zeta0={zeta0} too small at n={n}")
@@ -163,6 +157,7 @@ def projection_scan(n, mu, zetas, samples_per_zeta, rng):
     fitted_c is the smallest observed ratio: the empirical linear-in-zeta
     lower envelope coefficient.
     """
+    check_mu(mu)
     thr = mu * np.log(1.0 / mu)
     rows = []
     for z in zetas:
@@ -192,6 +187,8 @@ def fluctuation_probe(w, i, mu, theta, p_list, trials, rng, ref_samples=500_000)
     p_list = [int(p) for p in p_list]
     if p_list != sorted(p_list):
         raise ValueError("p_list must be increasing")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     w = np.asarray(w, dtype=float)
     n = w.size + 1
     ref, _ = dl_pop_projected_grad_estimate(w, i, mu, theta, ref_samples, rng)

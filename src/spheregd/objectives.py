@@ -32,9 +32,9 @@ def check_mu(mu):
         )
 
 
-def check_theta(theta, lo=0.0, hi=1.0):
-    if not (lo <= theta <= hi):
-        raise ValueError(f"theta = {theta} outside [{lo}, {hi}]")
+def check_theta(theta):
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta = {theta} outside [0, 1]")
 
 
 def log_cosh(t, mu):
@@ -122,7 +122,7 @@ def _sech2(x):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng, block=200_000):
+def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng):
     """Estimate the infinite-data outward slope at q(w) by conditioned sampling.
 
     Conditioning on the gating bits of the two distinguished coordinates
@@ -154,7 +154,7 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng, block=200_
     total_sq = 0.0
     done = 0
     while done < num_samples:
-        m = int(min(block, num_samples - done))
+        m = int(min(200_000, num_samples - done))  # the block size fixes a seed's draws
         V = rng.standard_normal((m, qo.size))
         gate = rng.random((m, qo.size)) < theta
         X = (V * gate) @ qo
@@ -172,7 +172,7 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng, block=200_
     return mean, float(np.sqrt(var / num_samples))
 
 
-def dl_pop_grad_estimate(q, mu, theta, num_samples, rng, block=100_000):
+def dl_pop_grad_estimate(q, mu, theta, num_samples, rng):
     """Plain Monte-Carlo estimate of the infinite-data Euclidean gradient
     E[tanh(q'x / mu) x] over Bernoulli-Gaussian x."""
     check_theta(theta)
@@ -182,7 +182,7 @@ def dl_pop_grad_estimate(q, mu, theta, num_samples, rng, block=100_000):
     acc = np.zeros(q.size)
     done = 0
     while done < num_samples:
-        m = int(min(block, num_samples - done))
+        m = int(min(100_000, num_samples - done))  # the block size fixes a seed's draws
         X = rng.standard_normal((m, q.size))
         X *= rng.random((m, q.size)) < theta
         acc += np.tanh(X @ q / mu) @ X

@@ -156,16 +156,16 @@ class PRTrajectory:
     max_w_dev: float  # worst relative deviation of the ||w|| recurrence
 
 
-def pr_descend(z0, x, eta, c, max_iters, track_identities=True, stop_at_target=True):
+def pr_descend(z0, x, eta, c, max_iters, stop_at_target=True):
     """Run descent from z0, checking the exact scalar recurrences each step.
 
     Stops as soon as dist(z, solutions) < sqrt(5c)||x|| (unless
     stop_at_target is off, for fixed-length identity probes) or after
-    max_iters steps.  When track_identities is on, the recurrences (zeta and
-    ||w|| scale by known factors of ||z||^2) are verified against the
-    recomputed decomposition; the comparison floor 1e-6 ||x|| keeps the
-    orthogonal component out of pure cancellation noise once it has decayed
-    to a scale the decomposition cannot resolve.
+    max_iters steps.  The recurrences (zeta and ||w|| scale by known factors
+    of ||z||^2) are verified against the recomputed decomposition; the
+    comparison floor 1e-6 ||x|| keeps the orthogonal component out of pure
+    cancellation noise once it has decayed to a scale the decomposition
+    cannot resolve.
     """
     z, x, z2, x2 = _norms(z0, x)
     xn = math.sqrt(x2)
@@ -190,12 +190,11 @@ def pr_descend(z0, x, eta, c, max_iters, track_identities=True, stop_at_target=T
         pred_wn = (1.0 - eta * (2.0 * z2 - x2)) * float(np.linalg.norm(dec.w))
         z = z - eta * ((2.0 * z2 - x2) * z - np.vdot(x, z) * x)
         dec = pr_decompose(z, x)
-        if track_identities:
-            wn = float(np.linalg.norm(dec.w))
-            zdev = abs(dec.zeta - pred_zeta) / max(abs(pred_zeta), 1e-6 * xn)
-            wdev = abs(wn - pred_wn) / max(abs(pred_wn), 1e-6 * xn)
-            max_zdev = max(max_zdev, zdev)
-            max_wdev = max(max_wdev, wdev)
+        wn = float(np.linalg.norm(dec.w))
+        zdev = abs(dec.zeta - pred_zeta) / max(abs(pred_zeta), 1e-6 * xn)
+        wdev = abs(wn - pred_wn) / max(abs(pred_wn), 1e-6 * xn)
+        max_zdev = max(max_zdev, zdev)
+        max_wdev = max(max_wdev, wdev)
         min_zeta = min(min_zeta, dec.zeta)
     final_dist = pr_dist_to_solutions(z, x)
     return PRTrajectory(
@@ -220,11 +219,11 @@ class PRExperiment:
     success_fraction: float
 
 
-def pr_experiment(n, x, eta, c, zeta0, num_seeds, rng, max_draws_per_run=100_000, max_iters=None):
+def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     """Descent from uniform-in-ball starts conditioned on margin >= zeta0.
 
-    Each of the num_seeds runs draws fresh starts from its own child stream
-    until the margin clears zeta0; rejected draws are tallied, so the
+    Each run draws fresh starts from its own generator in rngs (up to 1e5
+    draws) until the margin clears zeta0; rejected draws are tallied, so the
     reported band_fraction estimates the chance that a raw uniform start
     lands in the low-margin initialization-failure band.  Each accepted run
     gets the worst-case iteration budget for its own initial margin, capped
@@ -240,9 +239,9 @@ def pr_experiment(n, x, eta, c, zeta0, num_seeds, rng, max_draws_per_run=100_000
     runs = []
     total_draws = 0
     band_draws = 0
-    for stream in rng.spawn(num_seeds):
+    for stream in rngs:
         z0 = None
-        for _ in range(max_draws_per_run):
+        for _ in range(100_000):
             cand = sample_ball(n, radius, stream)
             total_draws += 1
             if pr_decompose(cand, x).zeta >= zeta0:
@@ -266,7 +265,7 @@ def pr_experiment(n, x, eta, c, zeta0, num_seeds, rng, max_draws_per_run=100_000
     )
 
 
-def region_invariance_check(x, c, eta, num_states, rng, block=50_000):
+def region_invariance_check(x, c, eta, num_states, rng):
     """One descent step from random states in the union of shells.
 
     States are sampled uniformly in the ball ||z||^2 <= (1+c)||x||^2 (the
@@ -283,7 +282,7 @@ def region_invariance_check(x, c, eta, num_states, rng, block=50_000):
     s1_bad = 0
     done = 0
     while done < num_states:
-        m = int(min(block, num_states - done))
+        m = int(min(50_000, num_states - done))  # the block size fixes a seed's draws
         g = rng.standard_normal((m, 2 * n))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         u = rng.random((m, 1)) ** (1.0 / (2.0 * n))

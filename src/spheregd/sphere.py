@@ -70,24 +70,23 @@ def zeta(w):
     return float(np.sqrt(1.0 - ss) / winf - 1.0)
 
 
-def in_c_zeta(w, zeta0):
-    """Whether q(w) lies in the section with margin at least zeta0.
+def in_section(qn, winf, zeta0):
+    """Section membership q_n >= (1 + zeta0) ||w||_inf, elementwise.  A 1e-12
+    relative slack lets exact boundary points (equal-magnitude coordinates)
+    classify as members despite rounding in ||w||."""
+    return qn >= (1.0 + zeta0) * (1.0 - C_ZETA_BOUNDARY_TOL) * winf
 
-    The comparison carries a 1e-12 relative slack so that exact boundary
-    points (e.g. all coordinates of equal magnitude at zeta0 = 0) classify as
-    members despite rounding in ||w||.
-    """
+
+def in_c_zeta(w, zeta0):
+    """Whether q(w) lies in the section with margin at least zeta0."""
     if zeta0 < 0.0:
         raise ValueError("zeta0 must be nonnegative")
     w = np.asarray(w, dtype=float)
     winf = float(np.max(np.abs(w))) if w.size else 0.0
-    if winf == 0.0:
-        return True
     ss = float(w @ w)
     if ss >= 1.0:
         raise ValueError(f"chart vector must satisfy ||w|| < 1, got ||w||^2 = {ss}")
-    qn = np.sqrt(1.0 - ss)
-    return bool(qn >= (1.0 + zeta0) * winf * (1.0 - C_ZETA_BOUNDARY_TOL))
+    return bool(in_section(np.sqrt(1.0 - ss), winf, zeta0))
 
 
 def sample_uniform_sphere(n, rng):

@@ -209,7 +209,7 @@ def test_07_dl_recovery():
         cfg = DescentConfig(
             eta=eta,
             max_iters=6000,
-            stop_ball=BallStop(norm="l2", radius=radius, center_mode="best_signed_column"),
+            stop_ball=BallStop(norm="l2", radius=radius),
         )
         tr = riemannian_gd(oracle, q0, cfg, target_basis=inst.A0)
         _, err = recovery_error(tr.q_final, inst)
@@ -286,7 +286,7 @@ def test_10_phase_retrieval():
     n = 8
     eta = 0.95 * max_step_size(x, c)
     zeta0 = 0.1 / math.sqrt(2.0 * n)
-    exp = pr_experiment(n, x, eta, c, zeta0, 100, np.random.default_rng(802))
+    exp = pr_experiment(n, x, eta, c, zeta0, np.random.default_rng(802).spawn(100))
     ok &= exp.success_fraction == 1.0
     se = math.sqrt(0.25 / exp.total_draws)
     ok &= exp.band_fraction <= exp.band_bound + 3.0 * se

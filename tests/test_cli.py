@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ num_seeds = 3
 seed_base = 5
 max_iters = 3000
 save_traces = true
+"""
+
+PR_CFG = """\
+problem = phase_retrieval
+n = 6
+num_seeds = 4
+seed_base = 3
+max_iters = 10000
+zeta0 = 0.03
 """
 
 
@@ -97,6 +108,10 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-fluctuation", "--n", "6", "--p-list", "1000,100"]),
         (None, ["probe-projection", "--n", "6", "--zetas", "0,0.5"]),
         (None, ["probe-projection", "--n", "6", "--zetas", "a"]),
+        (None, ["probe-projection", "--n", "4", "--mu", "0", "--samples", "2"]),
+        (None, ["probe-volume", "--n", "3", "--zeta", "-5", "--samples", "10000"]),
+        (None, ["probe-volume", "--n", "3", "--zeta", "nan", "--samples", "10000"]),
+        (None, ["probe-fluctuation", "--n", "4", "--trials", "0", "--p-list", "10"]),
     ],
     ids=[
         "seed_base-negative",
@@ -111,6 +126,10 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "fluctuation-p-list-decreasing",
         "projection-zeta-zero",
         "projection-zeta-not-a-number",
+        "projection-mu-zero",
+        "volume-zeta-negative",
+        "volume-zeta-nan",
+        "fluctuation-trials-0",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
@@ -120,6 +139,41 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("spheregd: ")
+
+
+@pytest.mark.parametrize(
+    "command, extra, named",
+    [
+        ("run-sep", "p = 100", "'p'"),
+        ("run-sep", "theta = 0.25", "'theta'"),
+        ("run-sep", "dictionary_mode = identity", "'dictionary_mode'"),
+        ("run-sep", "c = 0.1", "'c'"),
+        ("run-dl", "zeta0 = 0.2", "'zeta0'"),
+        ("run-dl", "c = 0.1", "'c'"),
+        ("run-pr", "mu = 0.01", "'mu'"),
+        ("run-pr", "p = 100", "'p'"),
+        ("run-pr", "theta = 0.25", "'theta'"),
+        ("run-pr", "r_or_s = 0.9", "'r_or_s'"),
+        ("run-pr", "dictionary_mode = identity", "'dictionary_mode'"),
+        ("run-pr", "save_traces = true", "'save_traces'"),
+        ("run-pr", "--save-traces", "'save_traces'"),
+        ("run-pr", "--jobs 2", "--jobs"),
+    ],
+    ids=[
+        "sep-p", "sep-theta", "sep-dictionary_mode", "sep-c", "dl-zeta0", "dl-c", "pr-mu", "pr-p",
+        "pr-theta", "pr-r_or_s", "pr-dictionary_mode", "pr-save_traces", "pr-save-traces-flag", "pr-jobs-2",
+    ],
+)
+def test_unread_key_rejected(tmp_path, capsys, command, extra, named):
+    text = {"run-sep": SEP_CFG, "run-dl": DL_CFG, "run-pr": PR_CFG}[command]
+    argv = [command, "--out", str(tmp_path / "o")]
+    if extra.startswith("--"):
+        argv += extra.split()
+    else:
+        text += extra + "\n"
+    assert main(argv + ["--config", _write(tmp_path, "a.cfg", text)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spheregd: ") and named in err[0]
 
 
 def test_cli_usage_error_exit_code():
@@ -152,6 +206,27 @@ def test_run_jobs_equivalence(tmp_path, command, text):
     ]
 
 
+def _rows(path):
+    lines = path.read_text().splitlines()
+    return lines[lines.index("[runs]") + 2 :]
+
+
+@pytest.mark.parametrize(
+    "command, text", [("run-sep", SEP_CFG), ("run-dl", DL_CFG), ("run-pr", PR_CFG)], ids=["sep", "dl", "pr"]
+)
+def test_batch_row_matches_one_seed_batch(tmp_path, command, text):
+    # row seed_base + k of a batch is the one-seed batch at --seed seed_base + k
+    one = _write(tmp_path, "one.cfg", re.sub(r"num_seeds = \d+", "num_seeds = 1", text))
+    assert main([command, "--config", _write(tmp_path, "a.cfg", text), "--out", str(tmp_path / "all")]) == EXIT_OK
+    rows = _rows(tmp_path / "all" / "summary.txt")
+    assert len(rows) > 1
+    for row in rows:
+        seed = row.split(",", 1)[0]
+        out = tmp_path / f"seed{seed}"
+        assert main([command, "--config", one, "--seed", seed, "--out", str(out)]) == EXIT_OK
+        assert _rows(out / "summary.txt") == [row]
+
+
 def test_run_dl_check_gate_fails_on_tiny_budget(tmp_path):
     cfg = _write(
         tmp_path,
@@ -163,12 +238,7 @@ def test_run_dl_check_gate_fails_on_tiny_budget(tmp_path):
 
 
 def test_run_pr(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "pr.cfg",
-        "problem = phase_retrieval\nn = 6\nnum_seeds = 4\nseed_base = 3\n"
-        "max_iters = 10000\nzeta0 = 0.03\n",
-    )
+    cfg = _write(tmp_path, "pr.cfg", PR_CFG)
     out = str(tmp_path / "pro")
     assert main(["run-pr", "--config", cfg, "--out", out, "--check"]) == EXIT_OK
     summary = (tmp_path / "pro" / "summary.txt").read_text()
@@ -198,7 +268,8 @@ def test_probe_critical(tmp_path):
 def test_probe_pr_identities(capsys):
     assert main(["probe-pr-identities", "--n", "4", "--steps", "500"]) == EXIT_OK
     row = capsys.readouterr().out.strip().splitlines()[-1]
-    _, zdev, wdev, _ = row.split(",")
+    steps, zdev, wdev, _ = row.split(",")
+    assert steps == "500"  # the recurrences are checked over the full run, not up to the target
     assert float(zdev) <= 1e-10 and float(wdev) <= 1e-10
 
 

@@ -112,16 +112,6 @@ def test_recovery_error():
         assert err**2 == pytest.approx(2.0 - 2.0 * best, abs=1e-12)
 
 
-def test_ball_stop_needs_basis_when_column_centered():
-    cfg = DescentConfig(
-        eta=0.01,
-        max_iters=5,
-        stop_ball=BallStop(norm="l2", radius=0.1, center_mode="best_signed_column"),
-    )
-    with pytest.raises(ValueError):
-        riemannian_gd(sep_objective(0.03), np.eye(3)[0], cfg)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(eta=0.0, max_iters=10)

@@ -132,14 +132,14 @@ def test_ties_preserved_under_descent():
 def test_u_direction_values():
     w = np.array([0.3, 0.2])
     u = u_direction(w, 0)
-    assert np.allclose(u.dir, [1.0, 0.0, -0.32163376045133846], atol=1e-15)
+    assert np.allclose(u, [1.0, 0.0, -0.32163376045133846], atol=1e-15)
     q = chart_to_sphere(w)
-    assert abs(q @ u.dir) <= 1e-15
+    assert abs(q @ u) <= 1e-15
     # norm identity ||u||^2 = 1 + w_i^2/q_n^2 <= 2 inside the section
-    assert np.linalg.norm(u.dir) ** 2 == pytest.approx(1.0 + (0.3 / q[-1]) ** 2, abs=1e-14)
+    assert np.linalg.norm(u) ** 2 == pytest.approx(1.0 + (0.3 / q[-1]) ** 2, abs=1e-14)
     um = u_direction(np.array([-0.3, 0.2]), 0)
-    assert um.dir[0] == -1.0
-    assert um.dir[-1] == u.dir[-1]
+    assert um[0] == -1.0
+    assert um[-1] == u[-1]
     with pytest.raises(ValueError):
         u_direction(np.array([0.0, 0.2]), 0)
 

@@ -91,7 +91,7 @@ def test_sep_projected_grad_matches_vector_route():
         if w[i] == 0.0:
             continue
         q = chart_to_sphere(w)
-        u = u_direction(w, i).dir
+        u = u_direction(w, i)
         direct = u @ oracle(q)[1]
         assert abs(direct - sep_projected_grad(w, i, mu)) <= CROSS_CHECK_TOL
 
@@ -220,7 +220,7 @@ def test_estimator_cross_consistency():
     w = scale_to_zeta(rng.standard_normal(n - 1), 0.5)
     i = int(np.argmax(np.abs(w)))
     q = chart_to_sphere(w)
-    u = u_direction(w, i).dir
+    u = u_direction(w, i)
     reps = np.array([dl_pop_grad_estimate(q, mu, theta, 20_000, rng) @ u for _ in range(12)])
     naive_m = reps.mean()
     naive_se = reps.std(ddof=1) / np.sqrt(reps.size)

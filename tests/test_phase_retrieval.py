@@ -191,7 +191,7 @@ def test_experiment_summary():
     x[0] = 1.0
     eta = 0.95 * max_step_size(x, c)
     zeta0 = 0.1 / math.sqrt(2.0 * n)
-    exp = pr_experiment(n, x, eta, c, zeta0, 50, np.random.default_rng(8))
+    exp = pr_experiment(n, x, eta, c, zeta0, np.random.default_rng(8).spawn(50))
     assert exp.success_fraction == 1.0
     assert exp.band_fraction <= exp.band_bound + 3.0 * math.sqrt(0.25 / exp.total_draws)
     # margin never falls below min(initial margin, sqrt(7)/4 ||x||)
@@ -215,4 +215,4 @@ def test_experiment_rejects_bad_eta():
     x = np.zeros(4, complex)
     x[0] = 1.0
     with pytest.raises(ValueError):
-        pr_experiment(4, x, 1.0, 1.0 / 35.0, 0.05, 3, np.random.default_rng(0))
+        pr_experiment(4, x, 1.0, 1.0 / 35.0, 0.05, np.random.default_rng(0).spawn(3))
