@@ -7,6 +7,7 @@ from .descent import (
     DescentTrace,
     recovery_error,
     riemannian_gd,
+    riemannian_gd_block,
     section_map,
 )
 from .landscape import (
@@ -14,6 +15,7 @@ from .landscape import (
     enumerate_critical_points,
     fluctuation_probe,
     predict_flow_limit,
+    sep_success_bound,
     stable_manifold_membership,
     u_direction,
     volume_curve,

@@ -31,6 +31,7 @@ from .descent import (
     DescentConfig,
     recovery_error,
     riemannian_gd,
+    riemannian_gd_block,
 )
 from .objectives import (
     default_dl_eta,
@@ -216,27 +217,8 @@ def config_hash(cfg):
 # batch runners
 
 
-def _run_one(args):
-    """One seeded descent.  The problem picks the oracle, the stop ball and
-    the target basis; a dictionary seed draws its instance before q0."""
-    cfg, seed = args
-    rng = np.random.default_rng(seed)
-    inst = None
-    if cfg.problem == "separable":
-        oracle = sep_objective(cfg.mu)
-        ball = BallStop(norm="linf", radius=cfg.r_or_s)
-    else:
-        inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
-        oracle = dl_objective(inst.Y, cfg.mu)
-        ball = BallStop(norm="l2", radius=cfg.r_or_s)
-    q0 = sample_uniform_sphere(cfg.n, rng)
-    dcfg = DescentConfig(eta=cfg.eta, max_iters=cfg.max_iters, stop_ball=ball)
-    trace = riemannian_gd(oracle, q0, dcfg, target_basis=None if inst is None else inst.A0)
-    if inst is None:
-        final_dist = float(trace.dist_target[-1])
-    else:
-        final_dist = recovery_error(trace.q_final, inst)[1]
-    summary = RunSummary(
+def _summary(seed, trace, final_dist):
+    return RunSummary(
         seed=seed,
         success=trace.status == STATUS_BALL,
         iterations=int(trace.iters[-1]),
@@ -245,30 +227,56 @@ def _run_one(args):
         final_zeta=float(trace.zeta[-1]),
         status=trace.status,
     )
-    return summary, (trace if cfg.save_traces else None)
+
+
+def _run_seeds(cfg, seeds):
+    """Run a contiguous range of seeds; returns [(RunSummary, DescentTrace)].
+
+    The separable seeds form one lockstep block.  A dictionary seed is a run
+    of its own, since each draws its own data (instance first, then q0); its
+    instance is released before the next seed draws one.
+    """
+    if cfg.problem == "separable":
+        Q0 = [sample_uniform_sphere(cfg.n, np.random.default_rng(s)) for s in seeds]
+        dcfg = DescentConfig(cfg.eta, cfg.max_iters, stop_ball=BallStop("linf", cfg.r_or_s))
+        traces = riemannian_gd_block(sep_objective(cfg.mu), Q0, dcfg, traced=cfg.save_traces)
+        return [(_summary(s, tr, float(tr.dist_target[-1])), tr) for s, tr in zip(seeds, traces)]
+    return [_run_dl_seed(cfg, s) for s in seeds]
+
+
+def _run_dl_seed(cfg, seed):
+    rng = np.random.default_rng(seed)
+    inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
+    q0 = sample_uniform_sphere(cfg.n, rng)
+    dcfg = DescentConfig(cfg.eta, cfg.max_iters, stop_ball=BallStop("l2", cfg.r_or_s))
+    trace = riemannian_gd(dl_objective(inst.Y, cfg.mu), q0, dcfg, inst.A0, traced=cfg.save_traces)
+    return _summary(seed, trace, recovery_error(trace.q_final, inst)[1]), trace
 
 
 def run_batch(cfg, jobs=1):
     """Run the batch; returns (summaries, traces, extras) seed-sorted.
 
     extras carries problem-specific aggregate fields (theory bounds, band
-    statistics).  Results are independent of jobs.
+    statistics).  --jobs k splits the seeds into k contiguous ranges, one per
+    process; every run is independent of the others, so results do not
+    depend on jobs.
     """
     cfg = resolve_config(cfg)
     if cfg.problem == "phase_retrieval":
         return _run_pr_batch(cfg)
-    seeds = list(range(cfg.seed_base, cfg.seed_base + cfg.num_seeds))
-    work = [(cfg, s) for s in seeds]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_run_one, work))
+    seeds = range(cfg.seed_base, cfg.seed_base + cfg.num_seeds)
+    parts = [seeds[k * len(seeds) // jobs : (k + 1) * len(seeds) // jobs] for k in range(jobs)]
+    parts = [part for part in parts if part]
+    if len(parts) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(parts)) as ex:
+            results = [r for part in ex.map(_run_seeds, [cfg] * len(parts), parts) for r in part]
     else:
-        results = [_run_one(w) for w in work]
-    summaries = [r[0] for r in results]
-    traces = {s.seed: t for s, (_, t) in zip(summaries, results) if t is not None}
+        results = _run_seeds(cfg, seeds)
+    summaries = [s for s, _ in results]
+    traces = {s.seed: t for s, t in results} if cfg.save_traces else {}
     extras = {}
     if cfg.problem == "separable":
-        extras["theory_success_bound"] = max(0.0, 1.0 - 2.0 * math.log(cfg.n) * cfg.zeta0)
+        extras["theory_success_bound"] = landscape.sep_success_bound(cfg.n, cfg.zeta0)
     return summaries, traces, extras
 
 
@@ -488,6 +496,10 @@ def _cmd_probe_critical(args):
 
 
 def _cmd_probe_pr_identities(args):
+    if args.n < 2:
+        raise ValueError("--n must be >= 2")
+    if args.steps < 1:
+        raise ValueError("--steps must be >= 1")
     rng = np.random.default_rng(args.seed)
     x = np.zeros(args.n, dtype=complex)
     x[0] = 1.0
@@ -578,7 +590,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"spheregd: config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as e:  # an argument the library rejects, e.g. a probe parameter
+    except ValueError as e:  # a probe argument out of range, here or in the library
         print(f"spheregd: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

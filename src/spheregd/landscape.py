@@ -9,6 +9,7 @@ closed-form flow-limit map and a membership test for the stable manifolds.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,14 @@ def volume_curve(n, zetas, num_samples, rng):
     return hits / num_samples
 
 
+def sep_success_bound(n, zeta0):
+    """Lower bound max(0, 1 - 2 log(n) zeta0) on the chance that a uniform
+    start lies in some section of margin at least zeta0, from which separable
+    descent succeeds: 2n sections, each of volume at least
+    1/(2n) - zeta0 log(n)/n."""
+    return max(0.0, 1.0 - 2.0 * math.log(n) * zeta0)
+
+
 def sample_uniform_c_zeta(n, zeta0, rng):
     """Uniform sphere point conditioned on the canonical zeta0 section
     (rejection sampling in up to 5000 blocks of 4096 points)."""
@@ -158,6 +167,8 @@ def projection_scan(n, mu, zetas, samples_per_zeta, rng):
     lower envelope coefficient.
     """
     check_mu(mu)
+    if samples_per_zeta < 1:
+        raise ValueError("need samples_per_zeta >= 1")
     thr = mu * np.log(1.0 / mu)
     rows = []
     for z in zetas:
@@ -172,7 +183,7 @@ def projection_scan(n, mu, zetas, samples_per_zeta, rng):
                     val = sep_projected_grad(w, i, mu)
                     rows.append((float(z), winf, abs(float(w[i])), val, val / (winf * z)))
     if not rows:
-        raise RuntimeError("no coordinate cleared the slope floor; lower mu or raise n")
+        raise ValueError("no coordinate cleared the slope floor; lower mu or raise n")
     fitted_c = min(r[4] for r in rows)
     return rows, fitted_c
 

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .sphere import chart_to_sphere
+from .sphere import chart_to_sphere, tangent_project
 
 _LOG2 = float(np.log(2.0))
 
@@ -47,13 +47,18 @@ def log_cosh(t, mu):
 
 
 def sep_objective(mu):
-    """Oracle q -> (value, Riemannian gradient) for the separable objective
-    sum_i mu log cosh(q_i / mu)."""
+    """Oracle (q, value=True) -> (value, Riemannian gradient) for the separable
+    objective sum_i mu log cosh(q_i / mu).
+
+    q may be a point or a (..., n) block of points, one per row; each row gets
+    the bits of its own 1-D call.  With value=False the value is not computed
+    and None stands in its place.
+    """
     check_mu(mu)
 
-    def oracle(q):
-        g = np.tanh(q / mu)
-        return float(np.sum(log_cosh(q, mu))), g - (q @ g) * q
+    def oracle(q, value=True):
+        val = np.sum(log_cosh(q, mu), axis=-1) if value else None
+        return val, tangent_project(q, np.tanh(q / mu))
 
     return oracle
 
@@ -82,8 +87,13 @@ def sep_projected_grad(w, i, mu):
 
 
 def dl_objective(Y, mu):
-    """Oracle q -> (value, Riemannian gradient) for the data objective:
-    the average of mu log cosh(q'y_k / mu) over the columns y_k of Y."""
+    """Oracle (q, value=True) -> (value, Riemannian gradient) for the data
+    objective: the average of mu log cosh(q'y_k / mu) over the columns y_k of Y.
+
+    Takes a point or a (..., n) block like sep_objective.  The products are
+    written (Y^T Q^T)^T and (Y T^T)^T because a one-row block then gives the
+    bits of the 1-D call; Q Y and T Y^T differ in the last bits.
+    """
     check_mu(mu)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -91,11 +101,11 @@ def dl_objective(Y, mu):
     YT = Y.T.copy()
     p = Y.shape[1]
 
-    def oracle(q):
-        corr = YT @ q
-        val = float(np.mean(log_cosh(corr, mu)))
-        g = Y @ np.tanh(corr / mu) / p
-        return val, g - (q @ g) * q
+    def oracle(q, value=True):
+        corr = (YT @ q.T).T
+        val = np.mean(log_cosh(corr, mu), axis=-1) if value else None
+        g = (Y @ np.tanh(corr / mu).T).T / p
+        return val, tangent_project(q, g)
 
     return oracle
 

@@ -229,6 +229,9 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     gets the worst-case iteration budget for its own initial margin, capped
     at max_iters when given.
     """
+    rngs = list(rngs)
+    if not rngs:
+        raise ValueError("need at least one generator in rngs")
     _, x, _, x2 = _norms(np.zeros(n, dtype=complex), x)
     xn = math.sqrt(x2)
     if eta >= max_step_size(x, c):

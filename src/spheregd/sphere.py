@@ -37,25 +37,32 @@ def sphere_to_chart(q):
 
 
 def tangent_project(q, g):
-    """Project g onto the tangent space at q: g - <q, g> q."""
+    """Project g onto the tangent space at q: g - <q, g> q, row by row along
+    the last axis (each row bit for bit as its own 1-D call)."""
     q = np.asarray(q, dtype=float)
     g = np.asarray(g, dtype=float)
-    return g - (q @ g) * q
+    return g - np.vecdot(q, g)[..., None] * q
 
 
 def exp_map(q, v):
     """Geodesic step from q along the tangent vector v, arclength ||v||.
 
     Computes cos(||v||) q + sin(||v||) v / ||v||, renormalized so unit norm
-    survives arbitrarily long descent runs.  v = 0 returns q unchanged.
+    survives arbitrarily long descent runs.  Works row by row along the last
+    axis, so a (B, n) block steps B points at once, each bit for bit as its
+    own 1-D call.  A row with v = 0 returns q unchanged.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return q.copy()
+    nv = np.sqrt(np.vecdot(v, v))
+    if np.count_nonzero(nv) < nv.size:
+        out = q.copy()
+        moving = nv != 0.0
+        out[moving] = exp_map(q[moving], v[moving])
+        return out
+    nv = nv[..., None]
     out = np.cos(nv) * q + (np.sin(nv) / nv) * v
-    return out / np.linalg.norm(out)
+    return out / np.sqrt(np.vecdot(out, out))[..., None]
 
 
 def zeta(w):

@@ -12,8 +12,19 @@ from conftest import fd_riem_grad
 
 from spheregd.cli import main
 from spheregd.datagen import gen_instance
-from spheregd.descent import BallStop, DescentConfig, recovery_error, riemannian_gd
-from spheregd.landscape import enumerate_critical_points, fluctuation_probe, volume_curve
+from spheregd.descent import (
+    BallStop,
+    DescentConfig,
+    recovery_error,
+    riemannian_gd,
+    riemannian_gd_block,
+)
+from spheregd.landscape import (
+    enumerate_critical_points,
+    fluctuation_probe,
+    sep_success_bound,
+    volume_curve,
+)
 from spheregd.objectives import (
     default_sep_eta,
     default_sep_mu,
@@ -80,11 +91,10 @@ def test_02_critical_points():
 
 def test_03_descent_inequality():
     n, mu, eta = 10, 0.05, 0.02  # eta < mu/2
-    oracle = sep_objective(mu)
+    q0 = [sample_uniform_sphere(n, np.random.default_rng(200 + seed)) for seed in range(20)]
+    cfg = DescentConfig(eta=eta, max_iters=3000, stop_grad_tol=1e-8)
     worst_margin = np.inf
-    for seed in range(20):
-        q0 = sample_uniform_sphere(n, np.random.default_rng(200 + seed))
-        tr = riemannian_gd(oracle, q0, DescentConfig(eta=eta, max_iters=3000, stop_grad_tol=1e-8))
+    for tr in riemannian_gd_block(sep_objective(mu), q0, cfg, traced=True):
         lhs = tr.f[0] - tr.f[-1]
         rhs = 0.5 * eta * float(np.sum(tr.grad_norm[:-1] ** 2))
         worst_margin = min(worst_margin, lhs - rhs)
@@ -153,20 +163,16 @@ def test_06_separable_convergence():
         mu = default_sep_mu(n)
         eta = default_sep_eta(n, mu)
         r = mu * np.log(1.0 / mu)
-        oracle = sep_objective(mu)
         cfg = DescentConfig(
             eta=eta, max_iters=budgets[n], stop_ball=BallStop(norm="linf", radius=r)
         )
-        succ = 0
-        for seed in range(200):
-            q0 = sample_uniform_sphere(n, np.random.default_rng(1000 * n + seed))
-            tr = riemannian_gd(oracle, q0, cfg)
-            succ += tr.status == "ball_entered"
+        q0 = [sample_uniform_sphere(n, np.random.default_rng(1000 * n + seed)) for seed in range(200)]
+        traces = riemannian_gd_block(sep_objective(mu), q0, cfg)
+        succ = sum(tr.status == "ball_entered" for tr in traces)
         frac = succ / 200.0
         se = math.sqrt(max(frac * (1 - frac), 1.0 / 200) / 200)
         for zeta0 in (0.05, 0.1):
-            bound = 1.0 - 2.0 * math.log(n) * zeta0
-            ok &= frac >= bound - 3.0 * se
+            ok &= frac >= sep_success_bound(n, zeta0) - 3.0 * se
         detail.append(f"n={n} success {frac:.3f}")
 
     # escape time out of the low-margin band grows at most linearly in log(1/zeta0)
@@ -174,18 +180,16 @@ def test_06_separable_convergence():
     mu = default_sep_mu(n)
     eta = default_sep_eta(n, mu)
     r = mu * np.log(1.0 / mu)
-    oracle = sep_objective(mu)
+    cfg = DescentConfig(eta=eta, max_iters=10_000, stop_ball=BallStop(norm="linf", radius=r))
     medians = []
     for zeta0 in (0.2, 0.02, 0.002):
-        exits = []
+        q0 = []
         for seed in range(50):
             rng = np.random.default_rng(7000 + seed)
             d = rng.uniform(0.25, 1.0, size=n - 1) * rng.choice([-1.0, 1.0], size=n - 1)
-            q0 = chart_to_sphere(scale_to_zeta(d, zeta0))
-            cfg = DescentConfig(
-                eta=eta, max_iters=10_000, stop_ball=BallStop(norm="linf", radius=r)
-            )
-            tr = riemannian_gd(oracle, q0, cfg)
+            q0.append(chart_to_sphere(scale_to_zeta(d, zeta0)))
+        exits = []
+        for tr in riemannian_gd_block(sep_objective(mu), q0, cfg, traced=True):
             above = np.nonzero(tr.zeta >= 1.0)[0]
             exits.append(int(above[0]) if above.size else np.nan)
         medians.append(float(np.nanmedian(exits)))
@@ -211,7 +215,7 @@ def test_07_dl_recovery():
             max_iters=6000,
             stop_ball=BallStop(norm="l2", radius=radius),
         )
-        tr = riemannian_gd(oracle, q0, cfg, target_basis=inst.A0)
+        tr = riemannian_gd(oracle, q0, cfg, target_basis=inst.A0, traced=False)
         _, err = recovery_error(tr.q_final, inst)
         succ += (1.0 - err * err / 2.0) >= 0.99  # max |<a_i, q>| >= 0.99
     frac = succ / 50.0

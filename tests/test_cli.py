@@ -112,6 +112,10 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-volume", "--n", "3", "--zeta", "-5", "--samples", "10000"]),
         (None, ["probe-volume", "--n", "3", "--zeta", "nan", "--samples", "10000"]),
         (None, ["probe-fluctuation", "--n", "4", "--trials", "0", "--p-list", "10"]),
+        (None, ["probe-projection", "--n", "6", "--samples", "0"]),
+        (None, ["probe-projection", "--n", "6", "--zetas", "100", "--samples", "2"]),
+        (None, ["probe-pr-identities", "--n", "0"]),
+        (None, ["probe-pr-identities", "--n", "4", "--steps", "-1"]),
     ],
     ids=[
         "seed_base-negative",
@@ -130,6 +134,10 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "volume-zeta-negative",
         "volume-zeta-nan",
         "fluctuation-trials-0",
+        "projection-samples-0",
+        "projection-no-coordinate-over-floor",
+        "pr-identities-n0",
+        "pr-identities-steps-negative",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):

@@ -7,6 +7,7 @@ from spheregd.descent import (
     DescentConfig,
     recovery_error,
     riemannian_gd,
+    riemannian_gd_block,
     section_map,
 )
 from spheregd.objectives import sep_objective
@@ -53,9 +54,9 @@ def test_trace_shape_invariants_and_unit_norm():
     inner = sep_objective(mu)
     norm_devs = []
 
-    def oracle(q):  # sees every iterate the loop visits
+    def oracle(q, value=True):  # sees every iterate the loop visits, as a one-row block
         norm_devs.append(abs(np.linalg.norm(q) - 1.0))
-        return inner(q)
+        return inner(q, value)
 
     q0 = sample_uniform_sphere(n, np.random.default_rng(7))
     cfg = DescentConfig(eta=0.002, max_iters=500)
@@ -68,13 +69,47 @@ def test_trace_shape_invariants_and_unit_norm():
 
 
 def test_nan_abort():
-    def bad(q):
-        return np.nan, np.zeros(q.size)
+    def bad(q, value=True):
+        return np.full(len(q), np.nan), np.zeros(q.shape)
 
     q0 = np.eye(4)[0]
     tr = riemannian_gd(bad, q0, DescentConfig(eta=0.1, max_iters=10))
     assert tr.status == "aborted_nan"
     assert tr.iters.size == 1
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_block_rows_match_one_row_runs():
+    # 13 rows that end every way: ball_entered, max_iters under a small budget,
+    # grad_tol from e_n, and aborted_nan where the oracle turns non-finite
+    n, mu = 6, 0.03
+    inner = sep_objective(mu)
+
+    def oracle(q, value=True):
+        f, g = inner(q, value)
+        bad = np.abs(q[..., 0]) > 0.95
+        return (None if f is None else np.where(bad, np.nan, f)), np.where(bad[..., None], np.nan, g)
+
+    rng = np.random.default_rng(4)
+    q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(12)] + [np.eye(n)[-1]])
+    ball = BallStop(norm="linf", radius=mu * np.log(1.0 / mu))
+    cfg = DescentConfig(eta=0.01, max_iters=150, stop_ball=ball)
+    block = riemannian_gd_block(oracle, q0, cfg, traced=True)
+    last = riemannian_gd_block(oracle, q0, cfg)
+    assert {tr.status for tr in block} == {"ball_entered", "max_iters", "grad_tol", "aborted_nan"}
+    columns = ("iters", "f", "grad_norm", "zeta", "w_inf", "dist_target", "q_final")
+    for q, tr, tr_last in zip(q0, block, last):
+        one = riemannian_gd(oracle, q, cfg)
+        assert tr.status == one.status == tr_last.status
+        for name in columns:
+            assert _same(getattr(tr, name), getattr(one, name)), name
+        for name in columns[:-1]:  # untraced: the last iterate only
+            assert _same(getattr(tr_last, name), getattr(one, name)[-1:]), name
+        assert _same(tr_last.q_final, one.q_final)
 
 
 def test_section_map_examples():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spheregd.constants import CRITICAL_GRAD_TOL
-from spheregd.descent import DescentConfig, riemannian_gd
+from spheregd.descent import DescentConfig, riemannian_gd_block
 from spheregd.landscape import (
     enumerate_critical_points,
     fluctuation_probe,
@@ -67,12 +67,10 @@ def test_flow_limit_matches_descent():
     n, mu = 5, 0.05
     oracle = sep_objective(mu)
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        q = sample_uniform_sphere(n, rng)
-        cp = predict_flow_limit(q)
-        cfg = DescentConfig(eta=mu / 4.0, max_iters=20_000, stop_grad_tol=1e-10)
-        tr = riemannian_gd(oracle, q, cfg)
-        assert np.linalg.norm(tr.q_final - cp.point) <= 1e-3
+    q0 = [sample_uniform_sphere(n, rng) for _ in range(100)]
+    cfg = DescentConfig(eta=mu / 4.0, max_iters=20_000, stop_grad_tol=1e-10)
+    for q, tr in zip(q0, riemannian_gd_block(oracle, q0, cfg)):
+        assert np.linalg.norm(tr.q_final - predict_flow_limit(q).point) <= 1e-3
 
 
 def test_flow_limit_of_generic_point_is_minimizer():

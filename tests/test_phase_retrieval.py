@@ -216,3 +216,10 @@ def test_experiment_rejects_bad_eta():
     x[0] = 1.0
     with pytest.raises(ValueError):
         pr_experiment(4, x, 1.0, 1.0 / 35.0, 0.05, np.random.default_rng(0).spawn(3))
+
+
+def test_experiment_rejects_empty_rngs():
+    x = np.zeros(4, complex)
+    x[0] = 1.0
+    with pytest.raises(ValueError, match="at least one generator"):
+        pr_experiment(4, x, 0.01, 1.0 / 35.0, 0.05, [])

@@ -72,6 +72,22 @@ def test_exp_map_identity_and_quarter_circle():
     assert np.allclose(out, np.eye(3)[1], atol=1e-15)
 
 
+def test_exp_map_block_matches_rows():
+    rng = np.random.default_rng(12)
+    Q = np.array([sample_uniform_sphere(7, rng) for _ in range(9)])
+    V = tangent_project(Q, 0.3 * rng.standard_normal(Q.shape))
+    V[4] = 0.0
+    out = exp_map(Q, V)
+    for q, v, row in zip(Q, V, out):
+        one = exp_map(q, v)
+        assert one.tobytes() == row.tobytes()
+        nv = np.linalg.norm(v)  # the 1-D formula, written out
+        if nv:
+            ref = np.cos(nv) * q + (np.sin(nv) / nv) * v
+            assert one.tobytes() == (ref / np.linalg.norm(ref)).tobytes()
+    assert out[4].tobytes() == Q[4].tobytes()
+
+
 def test_exp_map_unit_norm():
     rng = np.random.default_rng(2)
     for _ in range(200):
