@@ -290,15 +290,17 @@ def _run_pr_batch(cfg):
     )
     summaries = []
     for seed, run in zip(seeds, exp.runs):
+        finite = math.isfinite(run.final_dist)  # the engine stops a run on a non-finite state
+        status = STATUS_NAN if not finite else STATUS_BALL if run.converged else STATUS_MAX
         summaries.append(
             RunSummary(
                 seed=seed,
-                success=run.converged,
+                success=status == STATUS_BALL,
                 iterations=run.iterations,
                 final_f=float(phase_retrieval.pr_value(run.final_z, x)),
                 final_dist=run.final_dist,
                 final_zeta=run.min_zeta,
-                status=STATUS_BALL if run.converged else STATUS_MAX,
+                status=status,
             )
         )
     extras = {

@@ -60,15 +60,34 @@ def pr_step(z, x, eta):
     return z - eta * pr_gradient(z, x)
 
 
+def _decompose_rows(Z, x, xn):
+    """Row-wise x^H z, zeta, phi and w of the points along Z's last axis.
+
+    Written so that each row gets the bits of the scalar forms: |x^H z| as
+    hypot (np.abs of a complex array rounds differently from abs()).
+    """
+    ip = np.vecdot(x, Z)
+    zeta = np.hypot(ip.real, ip.imag) / xn
+    phi = np.arctan2(ip.imag, ip.real) % (2.0 * math.pi)  # a tiny negative angle rounds to 2 pi
+    phi = np.where((zeta > 0.0) & (phi < 2.0 * math.pi), phi, 0.0)
+    return ip, zeta, phi, Z - (zeta * np.exp(1j * phi))[..., None] * x / xn
+
+
+def _row_norms(W):
+    # np.linalg.norm's complex form, whose bits sqrt(vecdot(W, W).real) does not give
+    return np.sqrt(np.vecdot(W.real, W.real) + np.vecdot(W.imag, W.imag))
+
+
+def _dist(z2, zeta, x2, xn):
+    # distance to the solution circle; a non-finite state gives a non-finite distance
+    return np.sqrt(np.maximum(0.0, z2 + x2 - 2.0 * zeta * xn))
+
+
 def pr_decompose(z, x):
     """Split z into its signal-aligned polar part and the orthogonal rest."""
     z, x, _, x2 = _norms(z, x)
-    xn = math.sqrt(x2)
-    ip = np.vdot(x, z)
-    zeta = float(abs(ip)) / xn
-    phi = float(np.angle(ip)) % (2.0 * math.pi) if zeta > 0.0 else 0.0
-    w = z - zeta * np.exp(1j * phi) * x / xn
-    return PRDecomposition(w=w, zeta=zeta, phi=phi)
+    _, zeta, phi, w = _decompose_rows(z, x, math.sqrt(x2))
+    return PRDecomposition(w=w, zeta=float(zeta), phi=float(phi))
 
 
 def pr_reconstruct(dec, x):
@@ -101,8 +120,7 @@ def pr_dist_to_solutions(z, x):
     sqrt(||z||^2 + ||x||^2 - 2 zeta ||x||)."""
     z, x, z2, x2 = _norms(z, x)
     xn = math.sqrt(x2)
-    zeta = float(abs(np.vdot(x, z))) / xn
-    return math.sqrt(max(0.0, z2 + x2 - 2.0 * zeta * xn))
+    return float(_dist(z2, _decompose_rows(z, x, xn)[1], x2, xn))
 
 
 def max_step_size(x, c):
@@ -156,57 +174,67 @@ class PRTrajectory:
     max_w_dev: float  # worst relative deviation of the ||w|| recurrence
 
 
-def pr_descend(z0, x, eta, c, max_iters, stop_at_target=True):
-    """Run descent from z0, checking the exact scalar recurrences each step.
+def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
+    """Run descent from every row of the (B, n) block Z0 in lockstep, checking
+    the exact scalar recurrences each step.
 
-    Stops as soon as dist(z, solutions) < sqrt(5c)||x|| (unless
-    stop_at_target is off, for fixed-length identity probes) or after
-    max_iters steps.  The recurrences (zeta and ||w|| scale by known factors
-    of ||z||^2) are verified against the recomputed decomposition; the
-    comparison floor 1e-6 ||x|| keeps the orthogonal component out of pure
-    cancellation noise once it has decayed to a scale the decomposition
-    cannot resolve.
+    Row k stops once dist(z, solutions) < sqrt(5c)||x|| (unless
+    stop_at_target is off, for fixed-length identity probes), after
+    budgets[k] steps, or, before stepping, once ||z||^2 is not finite; such a
+    row ends with a non-finite final_dist.  The recurrences (zeta and ||w||
+    scale by known factors of ||z||^2) are verified against the recomputed
+    decomposition; the comparison floor 1e-6 ||x|| keeps the orthogonal
+    component out of pure cancellation noise once it has decayed to a scale
+    the decomposition cannot resolve.  A row leaves the block when it stops;
+    rows never interact, so each row's run equals that of a one-row block
+    bit for bit.
+
+    Returns one PRTrajectory per row.
     """
-    z, x, z2, x2 = _norms(z0, x)
+    Z = np.array(Z0, dtype=complex, ndmin=2)
+    _, x, _, x2 = _norms(np.zeros(Z.shape[1:], dtype=complex), x)
+    budgets = np.asarray(budgets, dtype=int)
+    if budgets.shape != Z.shape[:1] or np.any(budgets < 0):
+        raise ValueError("need one iteration budget >= 0 per start")
     xn = math.sqrt(x2)
     target = math.sqrt(5.0 * c) * xn
-    dec = pr_decompose(z, x)
-    zeta_init = dec.zeta
-    min_zeta = dec.zeta
-    max_zdev = 0.0
-    max_wdev = 0.0
-    converged = False
-    t = 0
-    for t in range(max_iters + 1):
-        z2 = float(np.vdot(z, z).real)
-        dist = math.sqrt(max(0.0, z2 + x2 - 2.0 * dec.zeta * xn))
-        if dist < target:
-            converged = True
-            if stop_at_target:
+    ip, zeta, _, W = _decompose_rows(Z, x, xn)
+    wn = _row_norms(W)
+    # per running row: initial and smallest zeta, worst zeta and ||w|| deviations
+    stats = np.stack([zeta, zeta, np.zeros_like(zeta), np.zeros_like(zeta)])
+    converged = np.zeros(len(Z), dtype=bool)
+    rows = np.arange(len(Z))  # caller's row index of each row still running
+    runs = [None] * len(Z)
+    for t in range(int(budgets.max(initial=0)) + 1):
+        z2 = np.vecdot(Z, Z).real
+        dist = _dist(z2, zeta, x2, xn)
+        converged |= dist < target
+        go = np.isfinite(z2) & (budgets[rows] > t)
+        if stop_at_target:
+            go &= ~converged
+        if not go.all():
+            for k in np.flatnonzero(~go):
+                zi, mz, zd, wd = stats[:, k].tolist()
+                run = PRTrajectory(zi, t, bool(converged[k]), Z[k].copy(), float(dist[k]), mz, zd, wd)
+                runs[rows[k]] = run
+            Z, ip, zeta, wn, z2, converged, rows = (a[go] for a in (Z, ip, zeta, wn, z2, converged, rows))
+            stats = stats[:, go]
+            if not rows.size:
                 break
-        if t == max_iters:
-            break
-        pred_zeta = (1.0 - 2.0 * eta * (z2 - x2)) * dec.zeta
-        pred_wn = (1.0 - eta * (2.0 * z2 - x2)) * float(np.linalg.norm(dec.w))
-        z = z - eta * ((2.0 * z2 - x2) * z - np.vdot(x, z) * x)
-        dec = pr_decompose(z, x)
-        wn = float(np.linalg.norm(dec.w))
-        zdev = abs(dec.zeta - pred_zeta) / max(abs(pred_zeta), 1e-6 * xn)
-        wdev = abs(wn - pred_wn) / max(abs(pred_wn), 1e-6 * xn)
-        max_zdev = max(max_zdev, zdev)
-        max_wdev = max(max_wdev, wdev)
-        min_zeta = min(min_zeta, dec.zeta)
-    final_dist = pr_dist_to_solutions(z, x)
-    return PRTrajectory(
-        zeta_init=zeta_init,
-        iterations=t,
-        converged=converged,
-        final_z=z,
-        final_dist=final_dist,
-        min_zeta=min_zeta,
-        max_zeta_dev=max_zdev,
-        max_w_dev=max_wdev,
-    )
+        pred_zeta = (1.0 - 2.0 * eta * (z2 - x2)) * zeta
+        pred_wn = (1.0 - eta * (2.0 * z2 - x2)) * wn
+        Z = Z - eta * ((2.0 * z2 - x2)[:, None] * Z - ip[:, None] * x)
+        ip, zeta, _, W = _decompose_rows(Z, x, xn)
+        wn = _row_norms(W)
+        stats[1] = np.fmin(stats[1], zeta)
+        stats[2] = np.fmax(stats[2], np.abs(zeta - pred_zeta) / np.maximum(np.abs(pred_zeta), 1e-6 * xn))
+        stats[3] = np.fmax(stats[3], np.abs(wn - pred_wn) / np.maximum(np.abs(pred_wn), 1e-6 * xn))
+    return runs
+
+
+def pr_descend(z0, x, eta, c, max_iters, stop_at_target=True):
+    """One run from z0: the one-row case of pr_descend_block."""
+    return pr_descend_block(np.asarray(z0)[None], x, eta, c, [max_iters], stop_at_target)[0]
 
 
 @dataclass
@@ -225,9 +253,9 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     Each run draws fresh starts from its own generator in rngs (up to 1e5
     draws) until the margin clears zeta0; rejected draws are tallied, so the
     reported band_fraction estimates the chance that a raw uniform start
-    lands in the low-margin initialization-failure band.  Each accepted run
-    gets the worst-case iteration budget for its own initial margin, capped
-    at max_iters when given.
+    lands in the low-margin initialization-failure band.  The accepted starts
+    then descend as one block, each with the worst-case iteration budget for
+    its own initial margin, capped at max_iters when given.
     """
     rngs = list(rngs)
     if not rngs:
@@ -239,24 +267,23 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     if not (0.0 < zeta0 < xn / math.sqrt(2.0)):
         raise ValueError("zeta0 must sit inside the starting ball")
     radius = xn / math.sqrt(2.0)
-    runs = []
+    starts, budgets = [], []
     total_draws = 0
     band_draws = 0
     for stream in rngs:
-        z0 = None
         for _ in range(100_000):
-            cand = sample_ball(n, radius, stream)
+            z0 = sample_ball(n, radius, stream)
             total_draws += 1
-            if pr_decompose(cand, x).zeta >= zeta0:
-                z0 = cand
+            zeta = pr_decompose(z0, x).zeta
+            if zeta >= zeta0:
                 break
             band_draws += 1
-        if z0 is None:
-            raise RuntimeError("rejection sampling failed: zeta0 too large")
-        budget = iteration_budget(x, eta, c, pr_decompose(z0, x).zeta)
-        if max_iters is not None:
-            budget = min(budget, max_iters)
-        runs.append(pr_descend(z0, x, eta, c, budget))
+        else:
+            raise ValueError(f"no start clears zeta0 = {zeta0} in 100000 draws: zeta0 is too large")
+        budget = iteration_budget(x, eta, c, zeta)
+        starts.append(z0)
+        budgets.append(budget if max_iters is None else min(budget, max_iters))
+    runs = pr_descend_block(starts, x, eta, c, budgets)
     band_bound = math.sqrt(8.0 / math.pi) * math.erf(math.sqrt(2.0 * n) * zeta0 / xn)
     return PRExperiment(
         runs=runs,

@@ -1,10 +1,14 @@
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spheregd import phase_retrieval
 from spheregd.cli import (
     EXIT_GATE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
@@ -116,6 +120,7 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-projection", "--n", "6", "--zetas", "100", "--samples", "2"]),
         (None, ["probe-pr-identities", "--n", "0"]),
         (None, ["probe-pr-identities", "--n", "4", "--steps", "-1"]),
+        (("zeta0 = 0.03", "zeta0 = 0.7"), ["run-pr"]),
     ],
     ids=[
         "seed_base-negative",
@@ -138,11 +143,13 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "projection-no-coordinate-over-floor",
         "pr-identities-n0",
         "pr-identities-steps-negative",
+        "pr-zeta0-near-start-radius",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
-    if argv[0] == "run-sep":
-        text = SEP_CFG if edit is None else SEP_CFG.replace(*edit)
+    if argv[0] in ("run-sep", "run-pr"):
+        base = SEP_CFG if argv[0] == "run-sep" else PR_CFG
+        text = base if edit is None else base.replace(*edit)
         argv = argv + ["--config", _write(tmp_path, "a.cfg", text), "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
@@ -251,6 +258,23 @@ def test_run_pr(tmp_path):
     assert main(["run-pr", "--config", cfg, "--out", out, "--check"]) == EXIT_OK
     summary = (tmp_path / "pro" / "summary.txt").read_text()
     assert "band_fraction" in summary and "max_zeta_dev" in summary
+
+
+def test_run_pr_non_finite_run_exits_2(tmp_path, monkeypatch):
+    engine = phase_retrieval.pr_descend_block
+
+    def blow_up_first_row(*args, **kwargs):
+        first, *rest = engine(*args, **kwargs)
+        return [replace(first, final_z=np.full_like(first.final_z, np.inf), final_dist=math.inf)] + rest
+
+    monkeypatch.setattr(phase_retrieval, "pr_descend_block", blow_up_first_row)
+    cfg = _write(tmp_path, "pr.cfg", PR_CFG)
+    argv = ["run-pr", "--config", cfg, "--out", str(tmp_path / "pro"), "--check"]
+    with np.errstate(invalid="ignore"):
+        assert main(argv) == EXIT_NUMERIC
+    rows = (tmp_path / "pro" / "summary.txt").read_text().split("[runs]\n")[1].splitlines()
+    assert rows[1].endswith(",aborted_nan") and rows[1].startswith("3,0,")
+    assert all(r.endswith(",ball_entered") for r in rows[2:])
 
 
 def test_probe_volume(tmp_path, capsys):

@@ -1,14 +1,20 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spheregd.constants import PR_DECOMP_TOL, PR_IDENTITY_RTOL, PR_ORTHO_TOL
 from spheregd.phase_retrieval import (
+    _decompose_rows,
     iteration_budget,
     max_step_size,
     pr_decompose,
     pr_descend,
+    pr_descend_block,
     pr_dist_to_solutions,
     pr_experiment,
     pr_gradient,
@@ -223,3 +229,107 @@ def test_experiment_rejects_empty_rngs():
     x[0] = 1.0
     with pytest.raises(ValueError, match="at least one generator"):
         pr_experiment(4, x, 0.01, 1.0 / 35.0, 0.05, [])
+
+
+@st.composite
+def _signal_and_block(draw):
+    n = draw(st.integers(2, 10))
+    b = draw(st.integers(1, 6))
+    parts = draw(hnp.arrays(np.float64, (b + 1, 2, n), elements=st.floats(-4.0, 4.0)))
+    pts = parts[:, 0] + 1j * parts[:, 1]
+    assume(np.vdot(pts[0], pts[0]).real >= 1e-2)
+    return pts[0], pts[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signal_and_block())
+def test_decompose_roundtrip_and_block_rows(case):
+    x, Z = case
+    xn = math.sqrt(np.vdot(x, x).real)
+    ip, zeta, phi, W = _decompose_rows(Z, x, xn)
+    for k, z in enumerate(Z):
+        dec = pr_decompose(z, x)
+        scale = max(1.0, float(np.linalg.norm(z)))
+        assert np.max(np.abs(pr_reconstruct(dec, x) - z)) <= PR_DECOMP_TOL * scale
+        assert abs(np.vdot(x, dec.w)) <= PR_ORTHO_TOL * xn * scale
+        assert dec.zeta >= 0.0 and 0.0 <= dec.phi < 2.0 * math.pi
+        assert dec.phi == 0.0 or dec.zeta > 0.0
+        # a block row carries the bits of the one-point decomposition
+        assert ip[k] == np.vdot(x, z)
+        assert (zeta[k], phi[k]) == (dec.zeta, dec.phi)
+        assert W[k].tobytes() == dec.w.tobytes()
+
+
+def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
+    """The one-point loop written out with 1-D numpy calls: the reference the
+    engine's row forms must reproduce bit for bit."""
+
+    def decompose(z):
+        ip = np.vdot(x, z)
+        zeta = float(abs(ip)) / xn
+        phi = float(np.angle(ip)) % (2.0 * math.pi)
+        phi = phi if zeta > 0.0 and phi < 2.0 * math.pi else 0.0
+        return zeta, float(np.linalg.norm(z - zeta * np.exp(1j * phi) * x / xn))
+
+    x2 = float(np.vdot(x, x).real)
+    xn = math.sqrt(x2)
+    zeta, wn = decompose(z)
+    zeta_init, min_zeta, max_zdev, max_wdev, converged = zeta, zeta, 0.0, 0.0, False
+    for t in range(max_iters + 1):
+        z2 = float(np.vdot(z, z).real)
+        dist = math.sqrt(max(0.0, z2 + x2 - 2.0 * zeta * xn))
+        if dist < math.sqrt(5.0 * c) * xn:
+            converged = True
+            if stop_at_target:
+                break
+        if t == max_iters:
+            break
+        pred_zeta = (1.0 - 2.0 * eta * (z2 - x2)) * zeta
+        pred_wn = (1.0 - eta * (2.0 * z2 - x2)) * wn
+        z = z - eta * ((2.0 * z2 - x2) * z - np.vdot(x, z) * x)
+        zeta, wn = decompose(z)
+        max_zdev = max(max_zdev, abs(zeta - pred_zeta) / max(abs(pred_zeta), 1e-6 * xn))
+        max_wdev = max(max_wdev, abs(wn - pred_wn) / max(abs(pred_wn), 1e-6 * xn))
+        min_zeta = min(min_zeta, zeta)
+    return (zeta_init, t, converged, z, dist, min_zeta, max_zdev, max_wdev)
+
+
+def _bits(values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("signal", ["e1", "random"])
+@pytest.mark.parametrize("n", [2, 4, 5, 9])
+def test_block_rows_match_one_row_runs(n, signal):
+    # n = 4, 5, 9 are sizes where sqrt(vecdot(w, w).real) and np.linalg.norm differ
+    rng = np.random.default_rng(40 + n)
+    x = _rand_signal(n, rng) if signal == "random" else np.eye(n, dtype=complex)[0]
+    c = 1.0 / 35.0
+    eta = 0.95 * max_step_size(x, c)
+    starts = [sample_ball(n, 1.0 / math.sqrt(2.0), rng) for _ in range(12)]
+    starts.append(np.exp(0.4j) * 0.95 * x)  # at the target from the start
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w -= np.vdot(x, w) * x  # x has unit norm
+    starts.append(0.5 * w / np.linalg.norm(w))  # margin ~ 0
+    budgets = [(2, 8, 25, 60, 120, 200)[k % 6] for k in range(len(starts))]
+    for stop_at_target in (True, False):
+        runs = pr_descend_block(np.array(starts), x, eta, c, budgets, stop_at_target)
+        for z0, budget, run in zip(starts, budgets, runs):
+            one_row = pr_descend(z0, x, eta, c, budget, stop_at_target)
+            bits = _bits(getattr(run, f.name) for f in fields(run))
+            assert bits == _bits(getattr(one_row, f.name) for f in fields(run))
+            assert bits == _bits(_scalar_descend(z0, x, eta, c, budget, stop_at_target))
+        if stop_at_target:
+            assert any(r.converged and r.iterations < b for r, b in zip(runs, budgets))
+            assert any(not r.converged and r.iterations == b for r, b in zip(runs, budgets))
+        else:
+            assert [r.iterations for r in runs] == budgets
+
+
+def test_descend_stops_on_non_finite_state():
+    x = np.eye(4, dtype=complex)[0]
+    z0 = sample_ball(4, 1.0 / math.sqrt(2.0), np.random.default_rng(9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = pr_descend(z0, x, 250.0 * max_step_size(x, 0.1), 0.1, 1000)
+    assert run.iterations < 1000 and not run.converged
+    assert not math.isfinite(run.final_dist)
