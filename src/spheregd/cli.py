@@ -299,7 +299,7 @@ def _run_pr_batch(cfg):
                 iterations=run.iterations,
                 final_f=float(phase_retrieval.pr_value(run.final_z, x)),
                 final_dist=run.final_dist,
-                final_zeta=run.min_zeta,
+                final_zeta=run.final_zeta,
                 status=status,
             )
         )
@@ -357,10 +357,10 @@ def write_trace_csv(path, trace, cfg, seed):
         f.write(f"# seed_base={cfg.seed_base}\n")
         f.write(f"# seed={seed}\n")
         f.write(",".join(TRACE_COLUMNS) + "\n")
-        cols = [getattr(trace, name) for name in TRACE_COLUMNS[1:]]  # DescentTrace fields
-        for k in range(trace.iters.size):
-            row = [str(int(trace.iters[k]))] + [_fmt(float(col[k])) for col in cols]
-            f.write(",".join(row) + "\n")
+        row = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1) + "\n"  # the bytes _fmt writes
+        cols = [getattr(trace, name) for name in ("iters",) + TRACE_COLUMNS[1:]]  # DescentTrace fields
+        for a in range(0, trace.iters.size, 128):  # as Python numbers, 128 rows at a time
+            f.writelines(row % values for values in zip(*(col[a : a + 128].tolist() for col in cols)))
 
 
 def _emit_table(out_dir, name, meta, columns, rows):

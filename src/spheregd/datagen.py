@@ -4,6 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MC_BLOCK_BYTES = 1 << 20  # one streamed Monte-Carlo block; with its temporaries it stays in L2
+GATE_RUN = 1 << 13  # 64 KiB of uniforms, under malloc's 128 KiB mmap threshold: a freed run never raises it
+
 
 @dataclass(frozen=True)
 class DictionaryInstance:
@@ -17,15 +20,27 @@ class DictionaryInstance:
     Y: np.ndarray
 
 
+def check_theta(theta):
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta = {theta} outside [0, 1]")
+
+
 def gen_bg_matrix(n, p, theta, rng):
     """n x p matrix of independent Bernoulli(theta)-gated standard normals."""
     if n < 1 or p < 1:
         raise ValueError("need n, p >= 1")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta = {theta} outside [0, 1]")
-    gauss = rng.standard_normal((n, p))
-    gate = rng.random((n, p)) < theta
-    return gauss * gate
+    check_theta(theta)
+    return gate_in_place(rng.standard_normal((n, p)), theta, rng)
+
+
+def gate_in_place(X, theta, rng):
+    """X *= rng.random(X.shape) < theta for a C-contiguous X, with the uniforms
+    drawn in flat C order GATE_RUN at a time: a generator fills arrays
+    strictly in order, so X gets the bits of the one-call form."""
+    flat = X.reshape(-1, copy=False)
+    for a in range(0, flat.size, GATE_RUN):
+        flat[a : a + GATE_RUN] *= rng.random(min(GATE_RUN, flat.size - a)) < theta
+    return X
 
 
 def haar_orthogonal(n, rng):

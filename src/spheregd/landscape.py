@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TIE_TOL
-from .datagen import gen_bg_matrix
+from .datagen import MC_BLOCK_BYTES, gen_bg_matrix
 from .objectives import (
     check_mu,
     dl_pop_projected_grad_estimate,
@@ -122,9 +122,10 @@ def volume_curve(n, zetas, num_samples, rng):
     if not np.all((zetas >= 0.0) & (zetas < np.inf)):
         raise ValueError("zeta must be finite and >= 0")
     hits = np.zeros(zetas.size, dtype=np.int64)
+    rows = max(1, MC_BLOCK_BYTES // (8 * n))  # any block size gives the same draws and bits
     done = 0
     while done < num_samples:
-        m = int(min(200_000, num_samples - done))  # the block size fixes a seed's draws
+        m = int(min(rows, num_samples - done))
         qn, winf = _section_block(n, m, rng)[1:]  # frees the block before the next draw
         for k, z in enumerate(zetas):
             hits[k] += int(np.count_nonzero(in_section(qn, winf, z)))

@@ -3,14 +3,15 @@
 Two objectives share the scalar surrogate mu * log(cosh(t / mu)): the
 separable model summing over the coordinates of q, and the data-driven one
 averaging over columns y of a data matrix.  Monte-Carlo estimators for the
-infinite-data quantities take an explicit generator, so callers can shard
-sampling across seeded streams and merge by sample-count weighting.
+infinite-data quantities draw from the generator they are passed, in
+fixed-size blocks, so a seed fixes the estimate.
 """
 
 import warnings
 
 import numpy as np
 
+from .datagen import check_theta, gate_in_place
 from .sphere import chart_to_sphere, tangent_project
 
 _LOG2 = float(np.log(2.0))
@@ -30,11 +31,6 @@ def check_mu(mu):
             RuntimeWarning,
             stacklevel=2,
         )
-
-
-def check_theta(theta):
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta = {theta} outside [0, 1]")
 
 
 def log_cosh(t, mu):
@@ -165,9 +161,7 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng):
     done = 0
     while done < num_samples:
         m = int(min(200_000, num_samples - done))  # the block size fixes a seed's draws
-        V = rng.standard_normal((m, qo.size))
-        gate = rng.random((m, qo.size)) < theta
-        X = (V * gate) @ qo
+        X = gate_in_place(rng.standard_normal((m, qo.size)), theta, rng) @ qo  # frees the gated block
         vi = rng.standard_normal(m)
         vn = rng.standard_normal(m)
         vals = pref * (_sech2((X + wi * vi) / mu) - _sech2((X + qn * vn) / mu))
@@ -193,8 +187,7 @@ def dl_pop_grad_estimate(q, mu, theta, num_samples, rng):
     done = 0
     while done < num_samples:
         m = int(min(100_000, num_samples - done))  # the block size fixes a seed's draws
-        X = rng.standard_normal((m, q.size))
-        X *= rng.random((m, q.size)) < theta
+        X = gate_in_place(rng.standard_normal((m, q.size)), theta, rng)
         acc += np.tanh(X @ q / mu) @ X
         done += m
     return acc / num_samples

@@ -169,6 +169,7 @@ class PRTrajectory:
     converged: bool
     final_z: np.ndarray
     final_dist: float
+    final_zeta: float
     min_zeta: float
     max_zeta_dev: float  # worst relative deviation of the zeta recurrence
     max_w_dev: float  # worst relative deviation of the ||w|| recurrence
@@ -215,8 +216,8 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
         if not go.all():
             for k in np.flatnonzero(~go):
                 zi, mz, zd, wd = stats[:, k].tolist()
-                run = PRTrajectory(zi, t, bool(converged[k]), Z[k].copy(), float(dist[k]), mz, zd, wd)
-                runs[rows[k]] = run
+                end = Z[k].copy(), float(dist[k]), float(zeta[k])  # final z, distance and zeta
+                runs[rows[k]] = PRTrajectory(zi, t, bool(converged[k]), *end, mz, zd, wd)
             Z, ip, zeta, wn, z2, converged, rows = (a[go] for a in (Z, ip, zeta, wn, z2, converged, rows))
             stats = stats[:, go]
             if not rows.size:

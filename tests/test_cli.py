@@ -12,11 +12,14 @@ from spheregd.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
+    _fmt,
     config_hash,
     main,
     parse_config,
     resolve_config,
+    write_trace_csv,
 )
+from spheregd.descent import DescentTrace
 
 SEP_CFG = """\
 # small separable batch
@@ -275,6 +278,35 @@ def test_run_pr_non_finite_run_exits_2(tmp_path, monkeypatch):
     rows = (tmp_path / "pro" / "summary.txt").read_text().split("[runs]\n")[1].splitlines()
     assert rows[1].endswith(",aborted_nan") and rows[1].startswith("3,0,")
     assert all(r.endswith(",ball_entered") for r in rows[2:])
+
+
+def test_run_pr_final_zeta_is_the_last_margin(tmp_path, monkeypatch):
+    engine = phase_retrieval.pr_descend_block
+    runs = []
+
+    def record(*args, **kwargs):
+        runs.extend(engine(*args, **kwargs))
+        return runs
+
+    monkeypatch.setattr(phase_retrieval, "pr_descend_block", record)
+    cfg = _write(tmp_path, "pr.cfg", PR_CFG)
+    assert main(["run-pr", "--config", cfg, "--out", str(tmp_path / "pro")]) == EXIT_OK
+    x = np.eye(6, dtype=complex)[0]
+    column = [row.split(",")[5] for row in _rows(tmp_path / "pro" / "summary.txt")]
+    assert column == [f"{phase_retrieval.pr_decompose(r.final_z, x).zeta:.17g}" for r in runs]
+    assert any(r.final_zeta > r.min_zeta for r in runs)  # the column used to hold min_zeta
+
+
+def test_trace_csv_rows_match_fmt(tmp_path):
+    rng = np.random.default_rng(0)
+    cols = rng.standard_normal((5, 3000)) * 10.0 ** rng.integers(-320, 300, (5, 3000))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    cols[:, : len(special)] = special
+    trace = DescentTrace(np.arange(3000), *cols, status="ball_entered", q_final=np.eye(6)[0])
+    cfg = resolve_config(parse_config(_write(tmp_path, "a.cfg", SEP_CFG)))
+    write_trace_csv(str(tmp_path / "t.csv"), trace, cfg, 11)
+    rows = (tmp_path / "t.csv").read_text().splitlines()[4:]
+    assert rows == [",".join([str(k)] + [_fmt(float(c[k])) for c in cols]) for k in range(3000)]
 
 
 def test_probe_volume(tmp_path, capsys):

@@ -291,7 +291,7 @@ def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
         max_zdev = max(max_zdev, abs(zeta - pred_zeta) / max(abs(pred_zeta), 1e-6 * xn))
         max_wdev = max(max_wdev, abs(wn - pred_wn) / max(abs(pred_wn), 1e-6 * xn))
         min_zeta = min(min_zeta, zeta)
-    return (zeta_init, t, converged, z, dist, min_zeta, max_zdev, max_wdev)
+    return (zeta_init, t, converged, z, dist, zeta, min_zeta, max_zdev, max_wdev)
 
 
 def _bits(values):
@@ -319,6 +319,7 @@ def test_block_rows_match_one_row_runs(n, signal):
             bits = _bits(getattr(run, f.name) for f in fields(run))
             assert bits == _bits(getattr(one_row, f.name) for f in fields(run))
             assert bits == _bits(_scalar_descend(z0, x, eta, c, budget, stop_at_target))
+            assert _bits([run.final_zeta]) == _bits([pr_decompose(run.final_z, x).zeta])
         if stop_at_target:
             assert any(r.converged and r.iterations < b for r, b in zip(runs, budgets))
             assert any(not r.converged and r.iterations == b for r, b in zip(runs, budgets))
