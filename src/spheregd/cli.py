@@ -254,14 +254,14 @@ def _run_dl_seed(cfg, seed):
 
 
 def run_batch(cfg, jobs=1):
-    """Run the batch; returns (summaries, traces, extras) seed-sorted.
+    """Run the batch of a resolved config (see resolve_config); returns
+    (summaries, traces, extras) seed-sorted.
 
     extras carries problem-specific aggregate fields (theory bounds, band
     statistics).  --jobs k splits the seeds into k contiguous ranges, one per
     process; every run is independent of the others, so results do not
     depend on jobs.
     """
-    cfg = resolve_config(cfg)
     if cfg.problem == "phase_retrieval":
         return _run_pr_batch(cfg)
     seeds = range(cfg.seed_base, cfg.seed_base + cfg.num_seeds)

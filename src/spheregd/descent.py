@@ -70,21 +70,6 @@ class DescentTrace:
     q_final: np.ndarray
 
 
-def section_map(q):
-    """Map q into its canonical section: the largest-|coordinate| moves to the
-    last position with positive sign.
-
-    Returns (chart vector of the canonical point, signed 1-based index of the
-    coordinate that became the section representative).  Ties in magnitude go
-    to the smallest index.
-    """
-    q = np.asarray(q, dtype=float)
-    j = int(np.argmax(np.abs(q)))
-    s = 1.0 if q[j] >= 0.0 else -1.0
-    canon = s * np.concatenate([np.delete(q, j), [q[j]]])
-    return canon[:-1], int(s) * (j + 1)
-
-
 def recovery_error(q, instance):
     """Distance from q to the nearest signed column of the instance's ground
     truth dictionary.  Returns (signed 1-based column index, L2 error)."""

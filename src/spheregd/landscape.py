@@ -95,10 +95,10 @@ def u_direction(w, i):
 
 
 def _section_block(n, m, rng):
-    """Rows of m uniform points on S^{n-1}, with their q_n (a copy) and ||w||_inf."""
+    """q_n (a copy, so the block is freed) and ||w||_inf of m uniform points on S^{n-1}."""
     g = rng.standard_normal((m, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return g, g[:, -1].copy(), np.abs(g[:, :-1]).max(axis=1)
+    return g[:, -1].copy(), np.abs(g[:, :-1]).max(axis=1)
 
 
 def volume_estimate(n, zeta0, num_samples, rng):
@@ -126,7 +126,7 @@ def volume_curve(n, zetas, num_samples, rng):
     done = 0
     while done < num_samples:
         m = int(min(rows, num_samples - done))
-        qn, winf = _section_block(n, m, rng)[1:]  # frees the block before the next draw
+        qn, winf = _section_block(n, m, rng)
         for k, z in enumerate(zetas):
             hits[k] += int(np.count_nonzero(in_section(qn, winf, z)))
         done += m
@@ -139,17 +139,6 @@ def sep_success_bound(n, zeta0):
     descent succeeds: 2n sections, each of volume at least
     1/(2n) - zeta0 log(n)/n."""
     return max(0.0, 1.0 - 2.0 * math.log(n) * zeta0)
-
-
-def sample_uniform_c_zeta(n, zeta0, rng):
-    """Uniform sphere point conditioned on the canonical zeta0 section
-    (rejection sampling in up to 5000 blocks of 4096 points)."""
-    for _ in range(5000):
-        g, qn, winf = _section_block(n, 4096, rng)
-        ok = np.flatnonzero(in_section(qn, winf, zeta0))
-        if ok.size:
-            return g[ok[0]].copy()
-    raise RuntimeError(f"rejection sampling failed: section zeta0={zeta0} too small at n={n}")
 
 
 def projection_constant_floor(mu):

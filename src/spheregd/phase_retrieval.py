@@ -29,14 +29,20 @@ class PRDecomposition:
     phi: float
 
 
-def _norms(z, x):
-    z = np.asarray(z, dtype=complex)
+def _signal(x):
+    """The signal as a complex array, with its squared norm ||x||^2 > 0."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != z.shape:
-        raise ValueError("z and x must have the same length")
     x2 = float(np.vdot(x, x).real)
     if x2 == 0.0:
         raise ValueError("signal x must be nonzero")
+    return x, x2
+
+
+def _norms(z, x):
+    x, x2 = _signal(x)
+    z = np.asarray(z, dtype=complex)
+    if x.shape != z.shape:
+        raise ValueError("z and x must have the same length")
     return z, x, float(np.vdot(z, z).real), x2
 
 
@@ -45,19 +51,6 @@ def pr_value(z, x):
     z, x, z2, x2 = _norms(z, x)
     ip = np.vdot(x, z)
     return float(x2 * x2 + z2 * z2 - x2 * z2 - (ip * ip.conjugate()).real)
-
-
-def pr_gradient(z, x):
-    """Gradient (2||z||^2 - ||x||^2) z - x (x^H z); descent moves z against it."""
-    z, x, z2, x2 = _norms(z, x)
-    return (2.0 * z2 - x2) * z - np.vdot(x, z) * x
-
-
-def pr_step(z, x, eta):
-    """One descent update z - eta * gradient."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    return z - eta * pr_gradient(z, x)
 
 
 def _decompose_rows(Z, x, xn):
@@ -78,6 +71,12 @@ def _row_norms(W):
     return np.sqrt(np.vecdot(W.real, W.real) + np.vecdot(W.imag, W.imag))
 
 
+def _step(Z, z2, ip, x, x2, eta):
+    """One descent step z - eta ((2||z||^2 - ||x||^2) z - (x^H z) x) of each
+    point along Z's last axis, given its ||z||^2 and x^H z."""
+    return Z - eta * ((2.0 * z2 - x2)[..., None] * Z - ip[..., None] * x)
+
+
 def _dist(z2, zeta, x2, xn):
     # distance to the solution circle; a non-finite state gives a non-finite distance
     return np.sqrt(np.maximum(0.0, z2 + x2 - 2.0 * zeta * xn))
@@ -92,9 +91,8 @@ def pr_decompose(z, x):
 
 def pr_reconstruct(dec, x):
     """Inverse of pr_decompose."""
-    x = np.asarray(x, dtype=complex)
-    xn = float(np.linalg.norm(x))
-    return dec.w + dec.zeta * np.exp(1j * dec.phi) * x / xn
+    x, x2 = _signal(x)
+    return dec.w + dec.zeta * np.exp(1j * dec.phi) * x / math.sqrt(x2)
 
 
 def pr_region(z, x, c):
@@ -115,20 +113,11 @@ def pr_region(z, x, c):
     return "outside"
 
 
-def pr_dist_to_solutions(z, x):
-    """Distance from z to the circle of global minimizers {e^{i t} x}:
-    sqrt(||z||^2 + ||x||^2 - 2 zeta ||x||)."""
-    z, x, z2, x2 = _norms(z, x)
-    xn = math.sqrt(x2)
-    return float(_dist(z2, _decompose_rows(z, x, xn)[1], x2, xn))
-
-
 def max_step_size(x, c):
     """Largest admissible step size sqrt(c) / (4 ||x||^2)."""
     if not (0.0 < c < 0.25):
         raise ValueError("need 0 < c < 1/4")
-    x = np.asarray(x, dtype=complex)
-    return math.sqrt(c) / (4.0 * float(np.vdot(x, x).real))
+    return math.sqrt(c) / (4.0 * _signal(x)[1])
 
 
 def sample_ball(n, radius, rng):
@@ -152,8 +141,7 @@ def iteration_budget(x, eta, c, zeta_init):
     slack."""
     if zeta_init <= 0.0:
         raise ValueError("zeta_init must be positive")
-    x = np.asarray(x, dtype=complex)
-    x2 = float(np.vdot(x, x).real)
+    x2 = _signal(x)[1]
     a = eta * x2
     t1 = max(0.0, math.log(math.sqrt(x2) / (zeta_init * math.sqrt(2.0))) / math.log1p(a))
     t2 = math.log(2.0) / (2.0 * math.log1p(2.0 * c * a))
@@ -193,7 +181,9 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     Returns one PRTrajectory per row.
     """
     Z = np.array(Z0, dtype=complex, ndmin=2)
-    _, x, _, x2 = _norms(np.zeros(Z.shape[1:], dtype=complex), x)
+    x, x2 = _signal(x)
+    if x.shape != Z.shape[1:]:
+        raise ValueError("z and x must have the same length")
     budgets = np.asarray(budgets, dtype=int)
     if budgets.shape != Z.shape[:1] or np.any(budgets < 0):
         raise ValueError("need one iteration budget >= 0 per start")
@@ -224,7 +214,7 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
                 break
         pred_zeta = (1.0 - 2.0 * eta * (z2 - x2)) * zeta
         pred_wn = (1.0 - eta * (2.0 * z2 - x2)) * wn
-        Z = Z - eta * ((2.0 * z2 - x2)[:, None] * Z - ip[:, None] * x)
+        Z = _step(Z, z2, ip, x, x2, eta)
         ip, zeta, _, W = _decompose_rows(Z, x, xn)
         wn = _row_norms(W)
         stats[1] = np.fmin(stats[1], zeta)
@@ -261,7 +251,7 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     rngs = list(rngs)
     if not rngs:
         raise ValueError("need at least one generator in rngs")
-    _, x, _, x2 = _norms(np.zeros(n, dtype=complex), x)
+    x, x2 = _signal(x)
     xn = math.sqrt(x2)
     if eta >= max_step_size(x, c):
         raise ValueError("eta must be below sqrt(c)/(4||x||^2)")
@@ -303,8 +293,7 @@ def region_invariance_check(x, c, eta, num_states, rng):
     union of S1..S4).  Returns (union_violations, s1_violations): successors
     leaving the union, and S1 successors leaving S1 u S2.
     """
-    x = np.asarray(x, dtype=complex)
-    x2 = float(np.vdot(x, x).real)
+    x, x2 = _signal(x)
     if eta >= max_step_size(x, c):
         raise ValueError("eta must be below sqrt(c)/(4||x||^2)")
     n = x.size
@@ -319,10 +308,9 @@ def region_invariance_check(x, c, eta, num_states, rng):
         u = rng.random((m, 1)) ** (1.0 / (2.0 * n))
         pts = radius * u * g / norms
         Z = pts[:, :n] + 1j * pts[:, n:]
-        z2 = np.einsum("ij,ij->i", Z.real, Z.real) + np.einsum("ij,ij->i", Z.imag, Z.imag)
-        ip = Z @ np.conj(x)  # row-wise x^H z
-        Znew = (1.0 - eta * (2.0 * z2 - x2))[:, None] * Z + eta * ip[:, None] * x[None, :]
-        z2new = np.einsum("ij,ij->i", Znew.real, Znew.real) + np.einsum("ij,ij->i", Znew.imag, Znew.imag)
+        z2 = np.vecdot(Z, Z).real
+        Znew = _step(Z, z2, np.vecdot(x, Z), x, x2, eta)
+        z2new = np.vecdot(Znew, Znew).real
         union_bad += int(np.count_nonzero(z2new > (1.0 + c) * x2))
         in_s1 = z2 <= 0.5 * x2
         s1_bad += int(np.count_nonzero(z2new[in_s1] > (1.0 - c) * x2))

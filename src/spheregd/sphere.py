@@ -28,14 +28,6 @@ def chart_to_sphere(w):
     return np.concatenate([w, [np.sqrt(1.0 - ss)]])
 
 
-def sphere_to_chart(q):
-    """Inverse chart: drop the last coordinate.  Requires q_n > 0."""
-    q = np.asarray(q, dtype=float)
-    if q[-1] <= 0.0:
-        raise ValueError("point outside the chart: last coordinate must be positive")
-    return q[:-1].copy()
-
-
 def tangent_project(q, g):
     """Project g onto the tangent space at q: g - <q, g> q, row by row along
     the last axis (each row bit for bit as its own 1-D call)."""
@@ -82,18 +74,6 @@ def in_section(qn, winf, zeta0):
     relative slack lets exact boundary points (equal-magnitude coordinates)
     classify as members despite rounding in ||w||."""
     return qn >= (1.0 + zeta0) * (1.0 - C_ZETA_BOUNDARY_TOL) * winf
-
-
-def in_c_zeta(w, zeta0):
-    """Whether q(w) lies in the section with margin at least zeta0."""
-    if zeta0 < 0.0:
-        raise ValueError("zeta0 must be nonnegative")
-    w = np.asarray(w, dtype=float)
-    winf = float(np.max(np.abs(w))) if w.size else 0.0
-    ss = float(w @ w)
-    if ss >= 1.0:
-        raise ValueError(f"chart vector must satisfy ||w|| < 1, got ||w||^2 = {ss}")
-    return bool(in_section(np.sqrt(1.0 - ss), winf, zeta0))
 
 
 def sample_uniform_sphere(n, rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheregd.datagen import gen_instance
 from spheregd.descent import (
@@ -8,10 +10,9 @@ from spheregd.descent import (
     recovery_error,
     riemannian_gd,
     riemannian_gd_block,
-    section_map,
 )
 from spheregd.objectives import sep_objective
-from spheregd.sphere import chart_to_sphere, sample_uniform_sphere, scale_to_zeta, zeta
+from spheregd.sphere import chart_to_sphere, sample_uniform_sphere, scale_to_zeta
 
 
 def test_immediate_termination_at_critical_point():
@@ -112,25 +113,33 @@ def test_block_rows_match_one_row_runs():
         assert _same(tr_last.q_final, one.q_final)
 
 
-def test_section_map_examples():
-    w, sec = section_map(np.array([0.0, -1.0, 0.0]))
-    assert np.array_equal(w, np.zeros(2))
-    assert sec == -2
-    w, sec = section_map(np.array([0.6, 0.0, 0.8]))
-    assert np.allclose(w, [0.6, 0.0], atol=1e-15)
-    assert sec == 3
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_block_rows_do_not_depend_on_the_block(n, rows, traced, seed, data):
+    mu = 0.05
+    rng = np.random.default_rng(seed)
+    q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(rows)])
+    ball = BallStop(norm="linf", radius=mu * np.log(1.0 / mu))
+    cfg = DescentConfig(eta=0.02, max_iters=100, stop_ball=ball)
+    whole = riemannian_gd_block(sep_objective(mu), q0, cfg, traced=traced)
+    perm = np.array(data.draw(st.permutations(range(rows))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=3))) if rows > 1 else []
+    for part in np.split(perm, cuts):
+        for k, tr in zip(part, riemannian_gd_block(sep_objective(mu), q0[part], cfg, traced=traced)):
+            assert tr.status == whole[k].status
+            for name in ("iters", "f", "grad_norm", "zeta", "w_inf", "dist_target", "q_final"):
+                assert _same(getattr(tr, name), getattr(whole[k], name)), name
 
 
 def test_section_zeta_invariant_under_signed_permutations():
     rng = np.random.default_rng(8)
+    oracle, cfg = sep_objective(0.05), DescentConfig(eta=0.01, max_iters=1)
     for _ in range(50):
         q = sample_uniform_sphere(6, rng)
-        w, _ = section_map(q)
-        z_ref = zeta(w)
+        z_ref = riemannian_gd(oracle, q, cfg).zeta[0]
         perm = rng.permutation(6)
         signs = rng.choice([-1.0, 1.0], size=6)
-        w2, _ = section_map(signs * q[perm])
-        assert zeta(w2) == pytest.approx(z_ref, rel=1e-12)
+        assert riemannian_gd(oracle, signs * q[perm], cfg).zeta[0] == z_ref
 
 
 def test_recovery_error():

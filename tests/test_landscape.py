@@ -9,7 +9,6 @@ from spheregd.landscape import (
     predict_flow_limit,
     projection_constant_floor,
     projection_scan,
-    sample_uniform_c_zeta,
     stable_manifold_membership,
     u_direction,
     volume_curve,
@@ -167,14 +166,6 @@ def test_volume_lower_bound_small_n():
     frac, se = volume_estimate(3, 0.2, 1_000_000, np.random.default_rng(6))
     bound = 1.0 / 6.0 - 0.2 * np.log(3.0) / 3.0
     assert frac >= bound - 3.0 * se
-
-
-def test_sample_uniform_c_zeta():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        q = sample_uniform_c_zeta(6, 0.3, rng)
-        w = q[:-1]
-        assert q[-1] >= (1.0 + 0.3) * np.max(np.abs(w)) * (1.0 - 1e-12)
 
 
 def test_projection_scan_positive_and_floor():

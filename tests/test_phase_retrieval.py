@@ -9,18 +9,16 @@ from hypothesis.extra import numpy as hnp
 
 from spheregd.constants import PR_DECOMP_TOL, PR_IDENTITY_RTOL, PR_ORTHO_TOL
 from spheregd.phase_retrieval import (
+    PRDecomposition,
     _decompose_rows,
     iteration_budget,
     max_step_size,
     pr_decompose,
     pr_descend,
     pr_descend_block,
-    pr_dist_to_solutions,
     pr_experiment,
-    pr_gradient,
     pr_reconstruct,
     pr_region,
-    pr_step,
     pr_value,
     region_invariance_check,
     sample_ball,
@@ -30,6 +28,11 @@ from spheregd.phase_retrieval import (
 def _rand_signal(n, rng, norm=1.0):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return x * (norm / np.linalg.norm(x))
+
+
+def _one_step(z, x, eta):
+    # c only sets the target, which a fixed-length run ignores
+    return pr_descend(z, x, eta, 0.1, 1, stop_at_target=False).final_z
 
 
 def test_value_examples():
@@ -43,15 +46,17 @@ def test_value_examples():
 
 
 def test_gradient_zeros():
+    # the gradient vanishes at 0, at x and on the saddle ring, so a step stays put
     rng = np.random.default_rng(0)
     x = _rand_signal(4, rng)
-    assert np.linalg.norm(pr_gradient(np.zeros(4, complex), x)) == 0.0
-    assert np.linalg.norm(pr_gradient(x, x)) <= 1e-15
+    eta = 0.1
+    assert np.array_equal(_one_step(np.zeros(4, complex), x, eta), np.zeros(4))
+    assert np.linalg.norm(_one_step(x, x, eta) - x) <= eta * 1e-14
     # saddle ring: orthogonal to x at norm ||x||/sqrt(2)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w -= (np.vdot(x, w) / np.vdot(x, x)) * x
     w *= 1.0 / (np.sqrt(2.0) * np.linalg.norm(w))
-    assert np.linalg.norm(pr_gradient(w, x)) <= 1e-14
+    assert np.linalg.norm(_one_step(w, x, eta) - w) <= eta * 1e-14
 
 
 def test_decompose_examples_and_roundtrip():
@@ -84,7 +89,7 @@ def test_step_scalar_recurrence_example():
     x[0] = 1.0
     z = 0.5 * x
     for eta in (0.01, 0.05, 0.11):
-        z1 = pr_step(z, x, eta)
+        z1 = _one_step(z, x, eta)
         dec = pr_decompose(z1, x)
         # ||z||^2 - ||x||^2 = -0.75 so the margin scales by (1 + 1.5 eta)
         assert dec.zeta == pytest.approx(0.5 * (1.0 + 1.5 * eta), abs=1e-14)
@@ -94,7 +99,7 @@ def test_minimizer_is_fixed_point():
     rng = np.random.default_rng(2)
     x = _rand_signal(3, rng)
     z = np.exp(0.7j) * x
-    z1 = pr_step(z, x, 0.03)
+    z1 = _one_step(z, x, 0.03)
     assert np.max(np.abs(z1 - z)) <= 1e-14
 
 
@@ -105,7 +110,7 @@ def test_phase_invariant_along_step():
     z = sample_ball(6, 1.0 / np.sqrt(2.0), rng)
     for _ in range(50):
         before = pr_decompose(z, x)
-        z = pr_step(z, x, eta)
+        z = _one_step(z, x, eta)
         after = pr_decompose(z, x)
         if before.zeta > 1e-12:
             dphi = (after.phi - before.phi + math.pi) % (2.0 * math.pi) - math.pi
@@ -129,7 +134,7 @@ def test_dist_identity_against_phase_grid():
     x = _rand_signal(4, rng)
     for _ in range(20):
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        d = pr_dist_to_solutions(z, x)
+        d = pr_descend(z, x, 0.01, 0.1, 0).final_dist
         thetas = np.linspace(0.0, 2.0 * math.pi, 1 << 18, endpoint=False)
         grid = np.min(
             np.linalg.norm(np.exp(1j * thetas)[:, None] * x[None, :] - z[None, :], axis=1)
@@ -178,7 +183,7 @@ def test_shell_step_inequalities():
         if region == "outside":
             continue
         before = pr_decompose(z, x)
-        after = pr_decompose(pr_step(z, x, eta), x)
+        after = pr_decompose(_one_step(z, x, eta), x)
         wb = np.linalg.norm(before.w)
         wa = np.linalg.norm(after.w)
         if region == "S1":
@@ -229,6 +234,34 @@ def test_experiment_rejects_empty_rngs():
     x[0] = 1.0
     with pytest.raises(ValueError, match="at least one generator"):
         pr_experiment(4, x, 0.01, 1.0 / 35.0, 0.05, [])
+
+
+_Z = np.full(3, 0.1 + 0.2j)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x: pr_value(_Z, x), id="pr_value"),
+        pytest.param(lambda x: pr_decompose(_Z, x), id="pr_decompose"),
+        pytest.param(lambda x: pr_reconstruct(PRDecomposition(_Z, 0.1, 0.0), x), id="pr_reconstruct"),
+        pytest.param(lambda x: pr_region(_Z, x, 0.1), id="pr_region"),
+        pytest.param(lambda x: max_step_size(x, 0.1), id="max_step_size"),
+        pytest.param(lambda x: iteration_budget(x, 0.01, 0.1, 0.2), id="iteration_budget"),
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, 5), id="pr_descend"),
+        pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5, 5]), id="pr_descend_block"),
+        pytest.param(
+            lambda x: pr_experiment(3, x, 0.01, 0.1, 0.05, [np.random.default_rng(0)]), id="pr_experiment"
+        ),
+        pytest.param(
+            lambda x: region_invariance_check(x, 0.1, 0.01, 10, np.random.default_rng(0)),
+            id="region_invariance_check",
+        ),
+    ],
+)
+def test_zero_signal_is_rejected(call):
+    with pytest.raises(ValueError, match="signal x must be nonzero"):
+        call(np.zeros(3, complex))
 
 
 @st.composite
@@ -334,3 +367,22 @@ def test_descend_stops_on_non_finite_state():
         run = pr_descend(z0, x, 250.0 * max_step_size(x, 0.1), 0.1, 1000)
     assert run.iterations < 1000 and not run.converged
     assert not math.isfinite(run.final_dist)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_block_rows_do_not_depend_on_the_block(n, rows, stop_at_target, seed, data):
+    rng = np.random.default_rng(seed)
+    x = _rand_signal(n, rng)
+    c = 1.0 / 35.0
+    eta = 0.95 * max_step_size(x, c)
+    Z0 = np.array([sample_ball(n, 1.0 / math.sqrt(2.0), rng) for _ in range(rows)])
+    budgets = rng.integers(0, 120, rows)
+    whole = pr_descend_block(Z0, x, eta, c, budgets, stop_at_target)
+    perm = np.array(data.draw(st.permutations(range(rows))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=3))) if rows > 1 else []
+    for part in np.split(perm, cuts):
+        for k, run in zip(part, pr_descend_block(Z0[part], x, eta, c, budgets[part], stop_at_target)):
+            assert _bits(getattr(run, f.name) for f in fields(run)) == _bits(
+                getattr(whole[k], f.name) for f in fields(run)
+            )

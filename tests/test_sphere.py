@@ -9,12 +9,11 @@ from spheregd.constants import (
 from spheregd.sphere import (
     chart_to_sphere,
     exp_map,
-    in_c_zeta,
+    in_section,
     l2_outer_radius,
     linf_inner_radius,
     sample_uniform_sphere,
     scale_to_zeta,
-    sphere_to_chart,
     tangent_project,
     zeta,
 )
@@ -45,7 +44,7 @@ def test_chart_roundtrip_exact():
     rng = np.random.default_rng(0)
     for _ in range(50):
         w = rng.uniform(-0.5, 0.5, size=4)
-        assert np.array_equal(sphere_to_chart(chart_to_sphere(w)), w)
+        assert np.array_equal(chart_to_sphere(w)[:-1], w)
 
 
 def test_tangent_project_radial_and_tangent():
@@ -105,15 +104,17 @@ def test_zeta_values():
     assert zeta(np.zeros(3)) == np.inf
 
 
-def test_in_c_zeta():
-    assert in_c_zeta(np.zeros(4), 0.0)
-    assert in_c_zeta(np.zeros(4), 5.0)
-    w = np.full(2, 1.0 / np.sqrt(3.0))
-    assert in_c_zeta(w, 0.0)
-    assert not in_c_zeta(w, 0.01)
-    assert in_c_zeta(np.array([0.1, 0.1]), 8.0)
-    with pytest.raises(ValueError):
-        in_c_zeta(np.array([0.1, 0.1]), -0.1)
+def test_in_section_boundary():
+    # exact boundary points (equal-magnitude coordinates) classify as members
+    third = np.full(2, 1.0 / np.sqrt(3.0))
+    for w, zeta0, member in [
+        (np.zeros(4), 0.0, True),
+        (np.zeros(4), 5.0, True),
+        (third, 0.0, True),
+        (third, 0.01, False),
+        (np.array([0.1, 0.1]), 8.0, True),
+    ]:
+        assert in_section(chart_to_sphere(w)[-1], np.max(np.abs(w)), zeta0) == member
 
 
 def test_sample_pin():
