@@ -81,9 +81,10 @@ def recovery_error(q, instance):
     return int(s) * (j + 1), err
 
 
-# Traced runs record history in chunks of this many steps: growing a run
-# copies nothing, and at most one chunk is slack.
-_CHUNK = 1024
+# Steps between stop-rule checks; a row takes at most _WINDOW - 1 discarded
+# steps past its stop.  Above 32, separable blocks gained little, while a
+# one-row dictionary run wastes about _WINDOW / 2 oracle calls after its stop.
+_WINDOW = 32
 
 
 def _entered_ball(top, second, ball):
@@ -114,12 +115,14 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     traced: keep every iterate's statistics.  Untraced, each row's trace holds
     only its last iterate and the value is computed there alone.
 
-    Stop rules are evaluated at each iterate before stepping, in the order
-    non-finite, grad_tol, ball, max_iters, so a run started at a critical point
-    terminates immediately.  A non-finite gradient, or a non-finite value at a
-    recorded iterate, aborts the row with status "aborted_nan"; nothing is
-    clamped.  A row leaves the block when it stops; rows never interact, so
-    each row's trace equals that of a one-row block bit for bit.
+    Stop rules are checked once per window of _WINDOW steps but mean the same
+    per step: a row stops at its first iterate where one fires, in the order
+    non-finite, grad_tol, ball, max_iters (so a run started at a critical point
+    terminates immediately), and its steps past that iterate are discarded.
+    A non-finite gradient, or a non-finite value at a recorded iterate, aborts
+    the row with status "aborted_nan"; nothing is clamped.  A row leaves the
+    block when it stops; rows never interact, so each row's trace equals that
+    of a one-row block bit for bit.
 
     Returns one DescentTrace per row.
     """
@@ -131,47 +134,49 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
 
     rows = np.arange(len(Q))  # caller's row index of each row still running
     traces = [None] * len(Q)
-    chunks = []  # traced: per step and row, value, gradient norm, top and second |coordinate|
-    for t in range(cfg.max_iters + 1):
-        f, G = objective(Q, value=traced)
-        gn = np.sqrt(np.vecdot(G, G))
-        ab = np.sort(np.abs(Q if R is None else (R.T @ Q.T).T), axis=-1)
-        top, second = ab[:, -1], ab[:, -2]
-        if traced:
-            if t % _CHUNK == 0:
-                chunks.append(np.empty((4, _CHUNK, len(traces))))
-            for col, v in zip(chunks[-1], (f, gn, top, second)):
-                col[t % _CHUNK][rows] = v
-
+    history = []  # traced: per window, value, gradient norm, top and second |coordinate| of each caller row
+    t0 = 0  # iteration of the window's first step
+    while rows.size:
+        w = min(_WINDOW, cfg.max_iters + 1 - t0)
+        Qs, Gs = np.empty((2, w) + Q.shape)  # per step: iterate, gradient
+        As, F = (Qs if R is None else np.empty_like(Qs)), np.empty((w, len(rows)))
+        with np.errstate(invalid="ignore", over="ignore"):  # a stopped row may step on to non-finite values
+            for s in range(w):
+                Qs[s] = Q
+                if R is not None:
+                    As[s] = (R.T @ Q.T).T
+                F[s], Gs[s] = objective(Q, value=traced)  # untraced, the value None reads as NaN, unused
+                Q = exp_map(Q, -cfg.eta * Gs[s])
+        gn = np.sqrt(np.vecdot(Gs, Gs))
+        ab = np.sort(np.abs(As), axis=-1)
+        top, second = ab[..., -1], ab[..., -2]
         go = np.isfinite(gn) & (gn > tol)
         if traced:
-            go &= np.isfinite(f)
+            go &= np.isfinite(F)
+            history.append(np.empty((4, w, len(traces))))
+            history[-1][:, :, rows] = F, gn, top, second
         if ball is not None:
             go &= ~_entered_ball(top, second, ball)
-        if t == cfg.max_iters:
-            go[:] = False
-        if np.count_nonzero(go) < go.size:
-            stop = np.flatnonzero(~go)
-            vals = f[stop] if traced else objective(Q[stop])[0]
+        if t0 + w > cfg.max_iters:
+            go[-1] = False
+        at, stopped = np.argmin(go, axis=0), ~go.all(axis=0)  # each row's first stop in the window
+        for s in np.unique(at[stopped]).tolist():
+            stop = np.flatnonzero(stopped & (at == s))
+            t = t0 + s
+            vals = F[s, stop] if traced else objective(Qs[s, stop])[0]
             for k, val in zip(stop, vals):
-                if not (np.isfinite(val) and np.isfinite(gn[k])):
-                    status = STATUS_NAN
-                elif gn[k] <= tol:
-                    status = STATUS_GRAD
-                elif ball is not None and _entered_ball(top[k], second[k], ball):
-                    status = STATUS_BALL
-                else:
-                    status = STATUS_MAX
+                status = (STATUS_NAN if not (np.isfinite(val) and np.isfinite(gn[s, k]))
+                          else STATUS_GRAD if gn[s, k] <= tol
+                          else STATUS_BALL if ball is not None and _entered_ball(top[s, k], second[s, k], ball)
+                          else STATUS_MAX)
                 if traced:
-                    cols = np.concatenate([c[:, :, rows[k]] for c in chunks], axis=1)[:, : t + 1]
+                    cols = np.concatenate([h[:, :, rows[k]] for h in history], axis=1)[:, : t + 1]
                     iters, cols = np.arange(t + 1), cols.copy()
                 else:
-                    iters, cols = np.array([t]), np.array([[val], [gn[k]], [top[k]], [second[k]]])
-                traces[rows[k]] = _trace(iters, cols, status, Q[k].copy())
-            Q, G, rows = Q[go], G[go], rows[go]
-            if not rows.size:
-                break
-        Q = exp_map(Q, -cfg.eta * G)
+                    iters, cols = np.array([t]), np.array([[val], [gn[s, k]], [top[s, k]], [second[s, k]]])
+                traces[rows[k]] = _trace(iters, cols, status, Qs[s, k].copy())
+        Q, rows = Q[~stopped], rows[~stopped]
+        t0 += w
     return traces
 
 

@@ -53,14 +53,16 @@ def pr_value(z, x):
     return float(x2 * x2 + z2 * z2 - x2 * z2 - (ip * ip.conjugate()).real)
 
 
-def _decompose_rows(Z, x, xn):
-    """Row-wise x^H z, zeta, phi and w of the points along Z's last axis.
+def _margin(ip, xn):
+    """zeta = |x^H z| / ||x|| from x^H z, as hypot: np.abs of complex arrays rounds unlike abs()."""
+    return np.hypot(ip.real, ip.imag) / xn
 
-    Written so that each row gets the bits of the scalar forms: |x^H z| as
-    hypot (np.abs of a complex array rounds differently from abs()).
-    """
+
+def _decompose_rows(Z, x, xn):
+    """Row-wise x^H z, zeta, phi and w of the points along Z's last axis, each
+    row with the bits of the scalar forms."""
     ip = np.vecdot(x, Z)
-    zeta = np.hypot(ip.real, ip.imag) / xn
+    zeta = _margin(ip, xn)
     phi = np.arctan2(ip.imag, ip.real) % (2.0 * math.pi)  # a tiny negative angle rounds to 2 pi
     phi = np.where((zeta > 0.0) & (phi < 2.0 * math.pi), phi, 0.0)
     return ip, zeta, phi, Z - (zeta * np.exp(1j * phi))[..., None] * x / xn
@@ -139,8 +141,8 @@ def iteration_budget(x, eta, c, zeta_init):
     from margin zeta_init: a geometric escape out of the low-margin band, a
     crossing of the middle shell, and a contraction of ||w|| with re-entry
     slack."""
-    if zeta_init <= 0.0:
-        raise ValueError("zeta_init must be positive")
+    if not (eta > 0.0 and zeta_init > 0.0):
+        raise ValueError("eta and zeta_init must be positive")
     x2 = _signal(x)[1]
     a = eta * x2
     t1 = max(0.0, math.log(math.sqrt(x2) / (zeta_init * math.sqrt(2.0))) / math.log1p(a))
@@ -185,8 +187,8 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     if x.shape != Z.shape[1:]:
         raise ValueError("z and x must have the same length")
     budgets = np.asarray(budgets, dtype=int)
-    if budgets.shape != Z.shape[:1] or np.any(budgets < 0):
-        raise ValueError("need one iteration budget >= 0 per start")
+    if not eta > 0.0 or budgets.shape != Z.shape[:1] or np.any(budgets < 0):
+        raise ValueError("need eta > 0 and one iteration budget >= 0 per start")
     xn = math.sqrt(x2)
     target = math.sqrt(5.0 * c) * xn
     ip, zeta, _, W = _decompose_rows(Z, x, xn)
@@ -253,8 +255,8 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
         raise ValueError("need at least one generator in rngs")
     x, x2 = _signal(x)
     xn = math.sqrt(x2)
-    if eta >= max_step_size(x, c):
-        raise ValueError("eta must be below sqrt(c)/(4||x||^2)")
+    if not 0.0 < eta < max_step_size(x, c):
+        raise ValueError("eta must be positive and below sqrt(c)/(4||x||^2)")
     if not (0.0 < zeta0 < xn / math.sqrt(2.0)):
         raise ValueError("zeta0 must sit inside the starting ball")
     radius = xn / math.sqrt(2.0)
@@ -265,7 +267,7 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
         for _ in range(100_000):
             z0 = sample_ball(n, radius, stream)
             total_draws += 1
-            zeta = pr_decompose(z0, x).zeta
+            zeta = float(_margin(np.vecdot(x, z0), xn))
             if zeta >= zeta0:
                 break
             band_draws += 1
@@ -294,8 +296,8 @@ def region_invariance_check(x, c, eta, num_states, rng):
     leaving the union, and S1 successors leaving S1 u S2.
     """
     x, x2 = _signal(x)
-    if eta >= max_step_size(x, c):
-        raise ValueError("eta must be below sqrt(c)/(4||x||^2)")
+    if not 0.0 < eta < max_step_size(x, c):
+        raise ValueError("eta must be positive and below sqrt(c)/(4||x||^2)")
     n = x.size
     radius = math.sqrt((1.0 + c) * x2)
     union_bad = 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from spheregd.datagen import gen_instance
 from spheregd.descent import (
+    _WINDOW,
     BallStop,
     DescentConfig,
     recovery_error,
@@ -12,7 +15,7 @@ from spheregd.descent import (
     riemannian_gd_block,
 )
 from spheregd.objectives import sep_objective
-from spheregd.sphere import chart_to_sphere, sample_uniform_sphere, scale_to_zeta
+from spheregd.sphere import chart_to_sphere, exp_map, sample_uniform_sphere, scale_to_zeta
 
 
 def test_immediate_termination_at_critical_point():
@@ -79,6 +82,9 @@ def test_nan_abort():
     assert tr.iters.size == 1
 
 
+_COLUMNS = ("iters", "f", "grad_norm", "zeta", "w_inf", "dist_target", "q_final")
+
+
 def _same(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -102,15 +108,121 @@ def test_block_rows_match_one_row_runs():
     block = riemannian_gd_block(oracle, q0, cfg, traced=True)
     last = riemannian_gd_block(oracle, q0, cfg)
     assert {tr.status for tr in block} == {"ball_entered", "max_iters", "grad_tol", "aborted_nan"}
-    columns = ("iters", "f", "grad_norm", "zeta", "w_inf", "dist_target", "q_final")
     for q, tr, tr_last in zip(q0, block, last):
         one = riemannian_gd(oracle, q, cfg)
         assert tr.status == one.status == tr_last.status
-        for name in columns:
+        for name in _COLUMNS:
             assert _same(getattr(tr, name), getattr(one, name)), name
-        for name in columns[:-1]:  # untraced: the last iterate only
+        for name in _COLUMNS[:-1]:  # untraced: the last iterate only
             assert _same(getattr(tr_last, name), getattr(one, name)[-1:]), name
         assert _same(tr_last.q_final, one.q_final)
+
+
+def _step_by_step(objective, q0, cfg, traced):
+    """Reference for one row, a (1, n) block: the stop rules checked at each
+    iterate before stepping, the meaning the engine's per-window checks keep.
+    Returns the row's status, its trace columns (every iterate's, or the last
+    one's when untraced) and the iterates it visited."""
+    q = np.array(q0, dtype=float)[None]
+    tol, ball = cfg.stop_grad_tol, cfg.stop_ball
+    assert ball is None or ball.norm == "linf"
+    rec, visited = [], []
+    for t in range(cfg.max_iters + 1):
+        f, g = objective(q)
+        gn = np.sqrt(np.vecdot(g, g))
+        ab = np.sort(np.abs(q), axis=-1)
+        rec.append((f[0], gn[0], ab[0, -1], ab[0, -2]))
+        visited.append(q[0].copy())
+        in_ball = ball is not None and ab[0, -2] < ball.radius
+        finite = np.isfinite(gn[0]) and (np.isfinite(f[0]) or not traced)  # untraced, the value is read at the stop
+        if finite and gn[0] > tol and not in_ball and t < cfg.max_iters:
+            q = exp_map(q, -cfg.eta * g)
+            continue
+        if not (np.isfinite(f[0]) and np.isfinite(gn[0])):
+            status = "aborted_nan"
+        else:
+            status = "grad_tol" if gn[0] <= tol else "ball_entered" if in_ball else "max_iters"
+        break
+    f, gn, top, second = (np.array(c) for c in zip(*(rec if traced else rec[-1:])))
+    zeta = np.divide(top, second, out=np.full(second.shape, np.inf), where=second != 0.0) - 1.0
+    iters = np.arange(t + 1) if traced else np.array([t])
+    dist = np.sqrt(np.fmax(0.0, 2.0 - 2.0 * top))
+    return status, (iters, f, gn, zeta, second, dist, q[0]), visited
+
+
+def _assert_matches_step_by_step(objective, q0, cfg, traced):
+    for q, tr in zip(q0, riemannian_gd_block(objective, q0, cfg, traced=traced)):
+        status, cols, _ = _step_by_step(objective, q, cfg, traced)
+        assert tr.status == status
+        for name, col in zip(_COLUMNS, cols):
+            assert _same(getattr(tr, name), col), name
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("max_iters", [1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 3])
+def test_window_matches_step_by_step_engine(max_iters, traced):
+    # every way to stop: grad_tol from e_n, ball_entered from inside and near
+    # the ball, max_iters, aborted_nan where the oracle turns non-finite, and a
+    # value that turns NaN alone (read only at the stop when untraced)
+    n, mu = 6, 0.03
+    inner = sep_objective(mu)
+
+    def oracle(q, value=True):
+        f, g = inner(q, value)
+        bad = np.abs(q[..., 0]) > 0.95
+        if f is not None:
+            f = np.where(bad | (np.abs(q[..., 1]) > 0.95), np.nan, f)
+        return f, np.where(bad[..., None], np.nan, g)
+
+    rng = np.random.default_rng(4)
+    near = [chart_to_sphere(np.full(n - 1, r)) for r in (0.05, 0.15, 0.3)]
+    near += [np.roll(q, k) for q in near[1:] for k in (1, 2)]  # toward e_1 and e_2
+    q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(12)] + near + [np.eye(n)[-1]])
+    ball = BallStop(norm="linf", radius=mu * np.log(1.0 / mu))
+    _assert_matches_step_by_step(oracle, q0, DescentConfig(eta=0.01, max_iters=max_iters, stop_ball=ball), traced)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("stop", ["ball", "grad_tol"])
+def test_rows_stop_at_every_offset_of_a_window(stop, traced):
+    # start row j at iterate j of one run: it stops j iterations earlier, so
+    # the rows of one block stop at every offset inside a window
+    n, mu = 6, 0.03
+    oracle = sep_objective(mu)
+    if stop == "ball":
+        cfg = DescentConfig(eta=0.01, max_iters=5000, stop_ball=BallStop(norm="linf", radius=mu * np.log(1.0 / mu)))
+    else:
+        cfg = DescentConfig(eta=0.01, max_iters=5000, stop_grad_tol=1e-2)
+    q = sample_uniform_sphere(n, np.random.default_rng(3))
+    status, _, visited = _step_by_step(oracle, q, cfg, True)
+    assert status == ("ball_entered" if stop == "ball" else "grad_tol") and len(visited) > 2 * _WINDOW
+    q0 = np.array(visited[: _WINDOW + 3])
+    offsets = {int(tr.iters[-1]) % _WINDOW for tr in riemannian_gd_block(oracle, q0, cfg, traced=traced)}
+    assert offsets == set(range(_WINDOW))
+    _assert_matches_step_by_step(oracle, q0, cfg, traced)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_aborts_at_its_iteration_without_warnings(bad, traced):
+    # rows step on through the rest of the window after the gradient turns
+    # non-finite; those steps are discarded and raise no floating-point warning
+    n, mu = 6, 0.03
+    inner = sep_objective(mu)
+
+    def oracle(q, value=True):
+        f, g = inner(q, value)
+        return f, np.where(np.max(np.abs(q), axis=-1, keepdims=True) > 0.9, bad, g)
+
+    rng = np.random.default_rng(3)
+    q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(8)])
+    cfg = DescentConfig(eta=0.01, max_iters=5000, stop_ball=BallStop(norm="linf", radius=mu * np.log(1.0 / mu)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = riemannian_gd_block(oracle, q0, cfg, traced=traced)
+        _assert_matches_step_by_step(oracle, q0, cfg, traced)
+    assert {tr.status for tr in traces} == {"aborted_nan"}
+    assert any(int(tr.iters[-1]) % _WINDOW < _WINDOW - 1 for tr in traces)
 
 
 @settings(max_examples=30, deadline=None)
@@ -127,7 +239,7 @@ def test_block_rows_do_not_depend_on_the_block(n, rows, traced, seed, data):
     for part in np.split(perm, cuts):
         for k, tr in zip(part, riemannian_gd_block(sep_objective(mu), q0[part], cfg, traced=traced)):
             assert tr.status == whole[k].status
-            for name in ("iters", "f", "grad_norm", "zeta", "w_inf", "dist_target", "q_final"):
+            for name in _COLUMNS:
                 assert _same(getattr(tr, name), getattr(whole[k], name)), name
 
 

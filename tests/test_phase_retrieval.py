@@ -264,6 +264,26 @@ def test_zero_signal_is_rejected(call):
         call(np.zeros(3, complex))
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.001])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x, eta: iteration_budget(x, eta, 1.0 / 35.0, 0.05), id="iteration_budget"),
+        pytest.param(lambda x, eta: pr_descend_block([_Z, _Z], x, eta, 0.1, [5, 5]), id="pr_descend_block"),
+        pytest.param(
+            lambda x, eta: pr_experiment(3, x, eta, 0.1, 0.05, [np.random.default_rng(0)]), id="pr_experiment"
+        ),
+        pytest.param(
+            lambda x, eta: region_invariance_check(x, 1.0 / 35.0, eta, 1000, np.random.default_rng(0)),
+            id="region_invariance_check",
+        ),
+    ],
+)
+def test_non_positive_eta_is_rejected(call, eta):
+    with pytest.raises(ValueError, match="eta"):
+        call(np.array([1.0, 0.0, 0.0], complex), eta)
+
+
 @st.composite
 def _signal_and_block(draw):
     n = draw(st.integers(2, 10))
