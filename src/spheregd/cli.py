@@ -12,12 +12,13 @@ objective), 3 gate failure under --check.
 """
 
 import argparse
+import collections
 import concurrent.futures
 import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .descent import (
     riemannian_gd_block,
 )
 from .objectives import (
-    default_dl_eta,
     default_sep_eta,
     default_sep_mu,
     dl_objective,
@@ -47,7 +47,9 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_GATE = 3
 
-PROBLEMS = ("separable", "dictionary", "phase_retrieval")
+# the batch command of each problem
+_RUN_COMMANDS = {"run-sep": "separable", "run-dl": "dictionary", "run-pr": "phase_retrieval"}
+PROBLEMS = tuple(_RUN_COMMANDS.values())
 TRACE_COLUMNS = ("iter", "f", "grad_norm", "zeta", "w_inf", "dist_target")
 
 
@@ -80,7 +82,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunSummary:
     seed: int
-    success: bool
     iterations: int
     final_f: float
     final_dist: float
@@ -89,7 +90,8 @@ class RunSummary:
 
 
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_COMMON_KEYS = {"problem", "n", "num_seeds", "seed_base", "max_iters", "out_dir"}
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+_COMMON_KEYS = {*_REQUIRED_KEYS, "out_dir"}
 # the keys each problem reads; any other key must keep its default
 _PROBLEM_KEYS = {
     "separable": _COMMON_KEYS | {"mu", "eta", "zeta0", "r_or_s", "save_traces"},
@@ -127,8 +129,7 @@ def parse_config(path):
                 vals[key] = kind(value)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}")
-    required = ("problem", "n", "num_seeds", "seed_base", "max_iters")
-    missing = [k for k in required if k not in vals]
+    missing = [k for k in _REQUIRED_KEYS if k not in vals]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return ExperimentConfig(**vals)
@@ -178,18 +179,24 @@ def resolve_config(cfg):
     elif cfg.problem == "dictionary":
         if mu == 0.0:
             mu = 0.01
+        if eta == 0.0:
+            eta = 0.01
         if r_or_s == 0.0:
             r_or_s = 0.15
-        if eta == 0.0:
-            eta = float(default_dl_eta(cfg.n, cfg.p, cfg.theta, r_or_s))
-    elif eta == 0.0:  # phase_retrieval: eta defaults to 0.95 of the admissible cap
-        eta = 0.95 * math.sqrt(cfg.c) / 4.0  # unit-norm signal
+    elif eta == 0.0:
+        eta = _pr_signal(cfg.n, cfg.c)[1]
     return replace(cfg, mu=mu, eta=eta, r_or_s=r_or_s)
 
 
+def _pr_signal(n, c):
+    """The phase-retrieval signal x = e_1 and its default step, 0.95 of the
+    admissible cap; the dynamics only see ||x|| and the span of x."""
+    x = np.zeros(n, dtype=complex)
+    x[0] = 1.0
+    return x, 0.95 * phase_retrieval.max_step_size(x, c)
+
+
 def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -220,7 +227,6 @@ def config_hash(cfg):
 def _summary(seed, trace, final_dist):
     return RunSummary(
         seed=seed,
-        success=trace.status == STATUS_BALL,
         iterations=int(trace.iters[-1]),
         final_f=float(trace.f[-1]),
         final_dist=final_dist,
@@ -282,8 +288,7 @@ def run_batch(cfg, jobs=1):
 
 def _run_pr_batch(cfg):
     seeds = range(cfg.seed_base, cfg.seed_base + cfg.num_seeds)
-    x = np.zeros(cfg.n, dtype=complex)
-    x[0] = 1.0  # unit-norm signal; the dynamics only see ||x|| and the span
+    x = _pr_signal(cfg.n, cfg.c)[0]
     exp = phase_retrieval.pr_experiment(
         cfg.n, x, cfg.eta, cfg.c, cfg.zeta0, [np.random.default_rng(s) for s in seeds],
         max_iters=cfg.max_iters,
@@ -295,7 +300,6 @@ def _run_pr_batch(cfg):
         summaries.append(
             RunSummary(
                 seed=seed,
-                success=status == STATUS_BALL,
                 iterations=run.iterations,
                 final_f=float(phase_retrieval.pr_value(run.final_z, x)),
                 final_dist=run.final_dist,
@@ -317,34 +321,26 @@ def _run_pr_batch(cfg):
 # output writers
 
 
-def _quantile(sorted_vals, q):
-    if not sorted_vals:
-        return 0.0
-    return float(np.quantile(np.asarray(sorted_vals, dtype=float), q))
-
-
 def write_summary(path, cfg, summaries, extras):
-    h = config_hash(cfg)
-    iters = sorted(s.iterations for s in summaries)
+    iters = np.array([s.iterations for s in summaries], dtype=float)
     nruns = len(summaries)
-    nsucc = sum(s.success for s in summaries)
-    lines = ["# spheregd batch summary", f"config_hash = {h}"]
+    nsucc = sum(s.status == STATUS_BALL for s in summaries)
+    lines = ["# spheregd batch summary", f"config_hash = {config_hash(cfg)}"]
     lines += config_lines(cfg)
     lines += [
         f"num_runs = {nruns}",
         f"num_success = {nsucc}",
         f"success_fraction = {_fmt(nsucc / nruns)}",
-        f"iterations_p25 = {_fmt(_quantile(iters, 0.25))}",
-        f"iterations_p50 = {_fmt(_quantile(iters, 0.50))}",
-        f"iterations_p75 = {_fmt(_quantile(iters, 0.75))}",
     ]
+    for q in (25, 50, 75):
+        lines.append(f"iterations_p{q} = {_fmt(float(np.quantile(iters, q / 100)))}")
     for key in sorted(extras):
         lines.append(f"{key} = {_fmt(extras[key])}")
     lines.append("[runs]")
     lines.append("seed,success,iterations,final_f,final_dist,final_zeta,status")
     for s in sorted(summaries, key=lambda r: r.seed):
         lines.append(
-            f"{s.seed},{int(s.success)},{s.iterations},{_fmt(s.final_f)},"
+            f"{s.seed},{int(s.status == STATUS_BALL)},{s.iterations},{_fmt(s.final_f)},"
             f"{_fmt(s.final_dist)},{_fmt(s.final_zeta)},{s.status}"
         )
     with open(path, "w", encoding="utf-8") as f:
@@ -363,29 +359,27 @@ def write_trace_csv(path, trace, cfg, seed):
             f.writelines(row % values for values in zip(*(col[a : a + 128].tolist() for col in cols)))
 
 
-def _emit_table(out_dir, name, meta, columns, rows):
-    lines = [f"# spheregd {name}"]
-    for k, v in meta.items():
+def _emit_table(args, columns, rows, **extras):
+    """Write a probe's CSV to --out, or to stdout.  The header holds every
+    parsed argument of the probe, their hash, then the probe's extras."""
+    meta = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    payload = "\n".join(f"{k}={_fmt(meta[k])}" for k in sorted(meta)).encode()
+    meta["params_hash"] = hashlib.sha256(payload).hexdigest()[:16]
+    lines = [f"# spheregd {args.command}"]
+    for k, v in {**meta, **extras}.items():
         lines.append(f"# {k}={_fmt(v)}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"{name}.csv")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, f"{args.command}.csv")
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
         print(path)
     else:
         sys.stdout.write(text)
-
-
-def _params_meta(args, keys):
-    meta = {k: getattr(args, k) for k in keys}
-    payload = "\n".join(f"{k}={_fmt(meta[k])}" for k in sorted(meta)).encode()
-    meta["params_hash"] = hashlib.sha256(payload).hexdigest()[:16]
-    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +396,7 @@ def _cmd_run(args):
         cfg = replace(cfg, save_traces=True)
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    expected = {"run-sep": "separable", "run-dl": "dictionary", "run-pr": "phase_retrieval"}[args.command]
+    expected = _RUN_COMMANDS[args.command]
     if cfg.problem != expected:
         raise ConfigError(f"{args.command} needs problem = {expected}, config says {cfg.problem!r}")
     if args.jobs > 1 and cfg.problem == "phase_retrieval":
@@ -421,7 +415,7 @@ def _cmd_run(args):
     if any(s.status == STATUS_NAN for s in summaries):
         return EXIT_NUMERIC
     if args.check:
-        frac = sum(s.success for s in summaries) / len(summaries)
+        frac = sum(s.status == STATUS_BALL for s in summaries) / len(summaries)
         sigma = math.sqrt(max(frac * (1.0 - frac), 1.0 / len(summaries)) / len(summaries))
         if cfg.problem == "separable":
             gate = extras["theory_success_bound"] - 3.0 * sigma
@@ -440,11 +434,8 @@ def _cmd_run(args):
 def _cmd_probe_volume(args):
     rng = np.random.default_rng(args.seed)
     frac, se = landscape.volume_estimate(args.n, args.zeta, args.samples, rng)
-    meta = _params_meta(args, ("n", "zeta", "samples", "seed"))
     _emit_table(
-        args.out,
-        "probe-volume",
-        meta,
+        args,
         ("n", "zeta", "samples", "fraction", "std_error", "lower_bound"),
         [(args.n, args.zeta, args.samples, frac, se,
           max(0.0, 1.0 / (2 * args.n) - args.zeta * math.log(args.n) / args.n))],
@@ -456,15 +447,12 @@ def _cmd_probe_projection(args):
     rng = np.random.default_rng(args.seed)
     zetas = [float(z) for z in args.zetas.split(",")]
     rows, fitted_c = landscape.projection_scan(args.n, args.mu, zetas, args.samples, rng)
-    meta = _params_meta(args, ("n", "mu", "zetas", "samples", "seed"))
-    meta["fitted_c"] = fitted_c
-    meta["analytic_floor"] = landscape.projection_constant_floor(args.mu)
     _emit_table(
-        args.out,
-        "probe-projection",
-        meta,
+        args,
         ("zeta", "w_inf", "w_i_abs", "slope", "slope_over_winf_zeta"),
         rows,
+        fitted_c=fitted_c,
+        analytic_floor=landscape.projection_constant_floor(args.mu),
     )
     return EXIT_OK
 
@@ -476,8 +464,7 @@ def _cmd_probe_fluctuation(args):
     i = int(np.argmax(np.abs(w)))
     p_list = [int(p) for p in args.p_list.split(",")]
     rows = landscape.fluctuation_probe(w, i, args.mu, args.theta, p_list, args.trials, rng)
-    meta = _params_meta(args, ("n", "mu", "theta", "zeta", "p_list", "trials", "seed"))
-    _emit_table(args.out, "probe-fluctuation", meta, ("p", "mean_abs_deviation"), rows)
+    _emit_table(args, ("p", "mean_abs_deviation"), rows)
     return EXIT_OK
 
 
@@ -487,13 +474,9 @@ def _cmd_probe_critical(args):
     for cp in pts:
         pat = "".join({1: "+", -1: "-", 0: "0"}[v] for v in cp.pattern)
         rows.append((pat, cp.support_size, cp.kind))
-    meta = _params_meta(args, ("n",))
-    counts = {}
-    for cp in pts:
-        counts[cp.kind] = counts.get(cp.kind, 0) + 1
-    for kind in sorted(counts):
-        meta[f"count_{kind}"] = counts[kind]
-    _emit_table(args.out, "probe-critical", meta, ("pattern", "support_size", "kind"), rows)
+    counts = collections.Counter(cp.kind for cp in pts)
+    counts = {f"count_{kind}": counts[kind] for kind in sorted(counts)}
+    _emit_table(args, ("pattern", "support_size", "kind"), rows, **counts)
     return EXIT_OK
 
 
@@ -503,16 +486,11 @@ def _cmd_probe_pr_identities(args):
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     rng = np.random.default_rng(args.seed)
-    x = np.zeros(args.n, dtype=complex)
-    x[0] = 1.0
-    eta = 0.95 * phase_retrieval.max_step_size(x, args.c)
+    x, eta = _pr_signal(args.n, args.c)
     z0 = phase_retrieval.sample_ball(args.n, 1.0 / math.sqrt(2.0), rng)
     run = phase_retrieval.pr_descend(z0, x, eta, args.c, args.steps, stop_at_target=False)
-    meta = _params_meta(args, ("n", "steps", "c", "seed"))
     _emit_table(
-        args.out,
-        "probe-pr-identities",
-        meta,
+        args,
         ("steps", "max_zeta_rel_dev", "max_w_rel_dev", "converged"),
         [(run.iterations, run.max_zeta_dev, run.max_w_dev, int(run.converged))],
     )
@@ -520,17 +498,16 @@ def _cmd_probe_pr_identities(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit with code 1 (argparse defaults to 2)
+    # usage errors exit with code 1 (argparse defaults to 2) and one line
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"spheregd: error: {message} (see {self.prog} --help)\n")
 
 
 def build_parser():
     parser = _Parser(prog="spheregd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run-sep", "run-dl", "run-pr"):
+    for name in _RUN_COMMANDS:
         sp = sub.add_parser(name, help=f"{name} batch from a config file")
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None, help="override seed_base")
@@ -544,8 +521,6 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--zeta", type=float, required=True)
     sp.add_argument("--samples", type=int, default=1_000_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_probe_volume)
 
     sp = sub.add_parser("probe-projection")
@@ -553,40 +528,39 @@ def build_parser():
     sp.add_argument("--mu", type=float, default=0.01)
     sp.add_argument("--zetas", default="0.1,0.2,0.5,1.0")
     sp.add_argument("--samples", type=int, default=100, help="points per zeta")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_probe_projection)
 
     sp = sub.add_parser("probe-fluctuation")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--theta", type=float, default=0.25)
     sp.add_argument("--mu", type=float, default=0.01)
+    sp.add_argument("--theta", type=float, default=0.25)
     sp.add_argument("--zeta", type=float, default=0.5)
     sp.add_argument("--p-list", default="100,1000,10000")
     sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_probe_fluctuation)
 
     sp = sub.add_parser("probe-critical")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_probe_critical)
 
     sp = sub.add_parser("probe-pr-identities")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--c", type=float, default=1.0 / 35.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_probe_pr_identities)
+
+    # declared last: a probe's CSV header lists its arguments in declaration order
+    for name, sp in sub.choices.items():
+        if name.startswith("probe-"):
+            if name != "probe-critical":  # the probes that draw
+                sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--out", default=None)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

@@ -10,9 +10,6 @@ UNIT_NORM_TOL = 1e-12
 # accepted deviation of a descent start point's norm from 1
 START_NORM_TOL = 1e-9
 
-# <q, v> for tangent vectors at q
-TANGENT_TOL = 1e-10
-
 # projecting twice equals projecting once
 PROJECTION_IDEMPOTENT_TOL = 1e-14
 
@@ -24,9 +21,6 @@ ORTHOGONALITY_TOL = 1e-10
 
 # Riemannian gradient norm at enumerated critical points
 CRITICAL_GRAD_TOL = 1e-10
-
-# slack for the descent inequality f(q0) - f(qT) >= (eta/2) sum ||grad||^2
-DESCENT_SLACK = 1e-10
 
 # thickness of "tied max magnitude" when testing flow limits / manifolds
 TIE_TOL = 1e-9

@@ -31,8 +31,8 @@ class BallStop:
     def __post_init__(self):
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"unknown ball norm {self.norm!r}")
-        if self.radius <= 0.0:
-            raise ValueError("ball radius must be positive")
+        if not 0.0 < self.radius < np.inf:  # also rejects NaN
+            raise ValueError("ball radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,12 @@ class DescentConfig:
     stop_ball: Optional[BallStop] = None
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < np.inf:  # also rejects NaN
+            raise ValueError("eta must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stop_grad_tol < 0.0:
-            raise ValueError("stop_grad_tol must be >= 0")
+        if not 0.0 <= self.stop_grad_tol < np.inf:
+            raise ValueError("stop_grad_tol must be >= 0 and finite")
 
 
 @dataclass

@@ -201,8 +201,3 @@ def default_sep_mu(n):
 def default_sep_eta(n, mu):
     """Default separable step size: min(0.01/n, mu/2)."""
     return min(0.01 / n, mu / 2.0)
-
-
-def default_dl_eta(n, p, theta, s):
-    """Default data-objective step size: 0.05 theta s / (n log(n p))."""
-    return 0.05 * theta * s / (n * np.log(n * p))

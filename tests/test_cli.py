@@ -124,6 +124,24 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-pr-identities", "--n", "0"]),
         (None, ["probe-pr-identities", "--n", "4", "--steps", "-1"]),
         (("zeta0 = 0.03", "zeta0 = 0.7"), ["run-pr"]),
+        (None, ["probe-volume", "--n", "x", "--zeta", "0"]),
+        (None, ["probe-volume", "--zeta", "0"]),
+        (None, ["run-sep", "--jobs", "x"]),
+        (None, ["probe-critical", "--n", "3", "--bogus", "1"]),
+        (None, ["run-sep", "--config", "no-such-dir/a.cfg"]),
+        (("zeta0 = 0.1", "zeta0 0.1"), ["run-sep"]),
+        (("zeta0 = 0.1", "zeta0 = 0.1\nzeta0 = 0.2"), ["run-sep"]),
+        (("save_traces = true", "save_traces = yes"), ["run-sep"]),
+        (("n = 6", "n = six"), ["run-sep"]),
+        (("problem = separable", "problem = sphere"), ["run-sep"]),
+        (("n = 6", "n = 1"), ["run-sep"]),
+        (("num_seeds = 3", "num_seeds = 0"), ["run-sep"]),
+        (("max_iters = 4000", "max_iters = 0"), ["run-sep"]),
+        (("zeta0 = 0.1", "zeta0 = 0.1\nmu = -0.1"), ["run-sep"]),
+        (("zeta0 = 0.1", "zeta0 = 0"), ["run-sep"]),
+        (("theta = 0.25", "theta = 0.25\ndictionary_mode = hadamard"), ["run-dl"]),
+        (("theta = 0.25", "theta = 0.6"), ["run-dl"]),
+        (("zeta0 = 0.03", "zeta0 = 0.03\nc = 0.3"), ["run-pr"]),
     ],
     ids=[
         "seed_base-negative",
@@ -147,14 +165,38 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "pr-identities-n0",
         "pr-identities-steps-negative",
         "pr-zeta0-near-start-radius",
+        "usage-volume-n-not-an-int",
+        "usage-volume-n-missing",
+        "usage-jobs-not-an-int",
+        "usage-critical-unknown-flag",
+        "config-file-missing",
+        "config-line-without-equals",
+        "config-duplicate-key",
+        "config-save_traces-yes",
+        "config-n-not-an-int",
+        "config-problem-unknown",
+        "config-n1",
+        "config-num_seeds-0",
+        "config-max_iters-0",
+        "config-mu-negative",
+        "config-zeta0-0",
+        "config-dictionary_mode-unknown",
+        "config-dl-theta-over-half",
+        "config-pr-c-over-quarter",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
-    if argv[0] in ("run-sep", "run-pr"):
-        base = SEP_CFG if argv[0] == "run-sep" else PR_CFG
+    if argv[0].startswith("run-"):
+        base = {"run-sep": SEP_CFG, "run-dl": DL_CFG, "run-pr": PR_CFG}[argv[0]]
         text = base if edit is None else base.replace(*edit)
-        argv = argv + ["--config", _write(tmp_path, "a.cfg", text), "--out", str(tmp_path / "o")]
-    assert main(argv) == EXIT_USAGE
+        if "--config" not in argv:
+            argv = argv + ["--config", _write(tmp_path, "a.cfg", text)]
+        argv = argv + ["--out", str(tmp_path / "o")]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse reports a malformed command line by exiting
+        code = e.code
+    assert code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("spheregd: ")
 
@@ -217,11 +259,11 @@ def test_run_jobs_equivalence(tmp_path, command, text):
     cfg = _write(tmp_path, "a.cfg", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o2"), "--jobs", "2"]) == EXIT_OK
-    s1 = (tmp_path / "o1" / "summary.txt").read_text()
-    s2 = (tmp_path / "o2" / "summary.txt").read_text()
-    assert [l for l in s1.splitlines() if not l.startswith("out_dir")] == [
-        l for l in s2.splitlines() if not l.startswith("out_dir")
-    ]
+    names = sorted(p.name for p in (tmp_path / "o1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "o2").iterdir())
+    assert len(names) == 4  # summary.txt and one trace per seed
+    for name in names:
+        assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
 
 def _rows(path):
@@ -253,6 +295,12 @@ def test_run_dl_check_gate_fails_on_tiny_budget(tmp_path):
         "num_seeds = 2\nseed_base = 0\nmax_iters = 3\n",
     )
     assert main(["run-dl", "--config", cfg, "--out", str(tmp_path / "o"), "--check"]) == EXIT_GATE
+
+
+def test_run_dl_default_step_converges(tmp_path):
+    cfg = _write(tmp_path, "dl.cfg", DL_CFG.replace("eta = 0.01\n", ""))
+    assert main(["run-dl", "--config", cfg, "--out", str(tmp_path / "o"), "--check"]) == EXIT_OK
+    assert "\neta = 0.01\n" in (tmp_path / "o" / "summary.txt").read_text()
 
 
 def test_run_pr(tmp_path):

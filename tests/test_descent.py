@@ -277,3 +277,19 @@ def test_config_validation():
         BallStop(norm="l7", radius=0.1)
     with pytest.raises(ValueError):
         BallStop(norm="l2", radius=0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DescentConfig(eta=np.nan, max_iters=10),
+        lambda: DescentConfig(eta=np.inf, max_iters=10),
+        lambda: DescentConfig(eta=0.1, max_iters=10, stop_grad_tol=np.nan),
+        lambda: BallStop(norm="linf", radius=np.nan),
+        lambda: BallStop(norm="l2", radius=np.inf),
+    ],
+    ids=["eta-nan", "eta-inf", "grad-tol-nan", "radius-nan", "radius-inf"],
+)
+def test_config_rejects_non_finite(make):
+    with pytest.raises(ValueError):
+        make()
