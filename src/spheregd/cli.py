@@ -7,6 +7,11 @@ embed the resolved-config hash and seed base, floats are printed at 17
 significant digits, and aggregation is seed-sorted, so rerunning a config
 reproduces every file byte for byte regardless of --jobs.
 
+--jobs k runs a batch in min(k, num_seeds, usable CPUs) worker processes, or
+in-process for 1.  run-dl defaults to every usable CPU and hands out each seed
+as one task; a worker holds one instance, Y and Y^T (2 n p 8 bytes).  run-sep
+defaults to 1, one lockstep block per worker; run-pr runs in-process.
+
 Exit codes: 0 ok, 1 usage or config error, 2 numerical abort (non-finite
 objective), 3 gate failure under --check.
 """
@@ -239,8 +244,7 @@ def _run_seeds(cfg, seeds):
     """Run a contiguous range of seeds; returns [(RunSummary, DescentTrace)].
 
     The separable seeds form one lockstep block.  A dictionary seed is a run
-    of its own, since each draws its own data (instance first, then q0); its
-    instance is released before the next seed draws one.
+    of its own, since each draws its own data (instance first, then q0).
     """
     if cfg.problem == "separable":
         Q0 = [sample_uniform_sphere(cfg.n, np.random.default_rng(s)) for s in seeds]
@@ -253,29 +257,32 @@ def _run_seeds(cfg, seeds):
 def _run_dl_seed(cfg, seed):
     rng = np.random.default_rng(seed)
     inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
+    A0, Y = inst.A0, inst.Y
+    del inst  # the run reads Y and A0 only: free X0 before dl_objective copies Y^T
     q0 = sample_uniform_sphere(cfg.n, rng)
     dcfg = DescentConfig(cfg.eta, cfg.max_iters, stop_ball=BallStop("l2", cfg.r_or_s))
-    trace = riemannian_gd(dl_objective(inst.Y, cfg.mu), q0, dcfg, inst.A0, traced=cfg.save_traces)
-    return _summary(seed, trace, recovery_error(trace.q_final, inst)[1]), trace
+    trace = riemannian_gd(dl_objective(Y, cfg.mu), q0, dcfg, A0, traced=cfg.save_traces)
+    return _summary(seed, trace, recovery_error(trace.q_final, A0)[1]), trace
 
 
-def run_batch(cfg, jobs=1):
+def run_batch(cfg, jobs=None):
     """Run the batch of a resolved config (see resolve_config); returns
     (summaries, traces, extras) seed-sorted.
 
     extras carries problem-specific aggregate fields (theory bounds, band
-    statistics).  --jobs k splits the seeds into k contiguous ranges, one per
-    process; every run is independent of the others, so results do not
-    depend on jobs.
+    statistics).  jobs sets the workers as --jobs does, None as its default;
+    runs are independent, so results do not depend on the worker count.
     """
     if cfg.problem == "phase_retrieval":
         return _run_pr_batch(cfg)
     seeds = range(cfg.seed_base, cfg.seed_base + cfg.num_seeds)
-    parts = [seeds[k * len(seeds) // jobs : (k + 1) * len(seeds) // jobs] for k in range(jobs)]
-    parts = [part for part in parts if part]
-    if len(parts) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(parts)) as ex:
-            results = [r for part in ex.map(_run_seeds, [cfg] * len(parts), parts) for r in part]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min((cpus if cfg.problem == "dictionary" else 1) if jobs is None else jobs, len(seeds), cpus)
+    ntasks = len(seeds) if cfg.problem == "dictionary" else jobs  # one task per dictionary seed
+    tasks = [seeds[k * len(seeds) // ntasks : (k + 1) * len(seeds) // ntasks] for k in range(ntasks)]
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = [r for task in ex.map(_run_seeds, [cfg] * ntasks, tasks) for r in task]
     else:
         results = _run_seeds(cfg, seeds)
     summaries = [s for s, _ in results]
@@ -394,12 +401,12 @@ def _cmd_run(args):
         cfg = replace(cfg, out_dir=args.out)
     if args.save_traces:
         cfg = replace(cfg, save_traces=True)
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     expected = _RUN_COMMANDS[args.command]
     if cfg.problem != expected:
         raise ConfigError(f"{args.command} needs problem = {expected}, config says {cfg.problem!r}")
-    if args.jobs > 1 and cfg.problem == "phase_retrieval":
+    if (args.jobs or 1) > 1 and cfg.problem == "phase_retrieval":
         raise ConfigError("run-pr runs in one process; it does not read --jobs")
     cfg = resolve_config(cfg)
     summaries, traces, extras = run_batch(cfg, jobs=args.jobs)
@@ -511,7 +518,7 @@ def build_parser():
         sp = sub.add_parser(name, help=f"{name} batch from a config file")
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None, help="override seed_base")
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, help="worker processes (default: usable CPUs for run-dl, else 1)")
         sp.add_argument("--out", default=None, help="override out_dir")
         sp.add_argument("--save-traces", action="store_true")
         sp.add_argument("--check", action="store_true", help="exit 3 if the gate fails")

@@ -70,14 +70,14 @@ class DescentTrace:
     q_final: np.ndarray
 
 
-def recovery_error(q, instance):
-    """Distance from q to the nearest signed column of the instance's ground
-    truth dictionary.  Returns (signed 1-based column index, L2 error)."""
+def recovery_error(q, A0):
+    """Distance from q to the nearest signed column of the ground truth
+    dictionary A0.  Returns (signed 1-based column index, L2 error)."""
     q = np.asarray(q, dtype=float)
-    corr = instance.A0.T @ q
+    corr = A0.T @ q
     j = int(np.argmax(np.abs(corr)))
     s = 1.0 if corr[j] >= 0.0 else -1.0
-    err = float(np.linalg.norm(q - s * instance.A0[:, j]))
+    err = float(np.linalg.norm(q - s * A0[:, j]))
     return int(s) * (j + 1), err
 
 

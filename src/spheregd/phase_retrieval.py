@@ -244,7 +244,9 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     """Descent from uniform-in-ball starts conditioned on margin >= zeta0.
 
     Each run draws fresh starts from its own generator in rngs (up to 1e5
-    draws) until the margin clears zeta0; rejected draws are tallied, so the
+    draws) until the margin clears zeta0, and none at all when the exact start
+    law P(margin >= zeta0) = (1 - 2 zeta0^2/||x||^2)^n gives a chance below
+    1e-9 of clearing it in 1e5 draws; rejected draws are tallied, so the
     reported band_fraction estimates the chance that a raw uniform start
     lands in the low-margin initialization-failure band.  The accepted starts
     then descend as one block, each with the worst-case iteration budget for
@@ -260,11 +262,12 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     if not (0.0 < zeta0 < xn / math.sqrt(2.0)):
         raise ValueError("zeta0 must sit inside the starting ball")
     radius = xn / math.sqrt(2.0)
+    hopeless = -math.expm1(1e5 * math.log1p(-((1.0 - 2.0 * zeta0 * zeta0 / x2) ** n))) < 1e-9
     starts, budgets = [], []
     total_draws = 0
     band_draws = 0
     for stream in rngs:
-        for _ in range(100_000):
+        for _ in range(0 if hopeless else 100_000):  # a hopeless band raises below without drawing
             z0 = sample_ball(n, radius, stream)
             total_draws += 1
             zeta = float(_margin(np.vecdot(x, z0), xn))

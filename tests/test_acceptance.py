@@ -216,7 +216,7 @@ def test_07_dl_recovery():
             stop_ball=BallStop(norm="l2", radius=radius),
         )
         tr = riemannian_gd(oracle, q0, cfg, target_basis=inst.A0, traced=False)
-        _, err = recovery_error(tr.q_final, inst)
+        _, err = recovery_error(tr.q_final, inst.A0)
         succ += (1.0 - err * err / 2.0) >= 0.99  # max |<a_i, q>| >= 0.99
     frac = succ / 50.0
     _report("7 dl-recovery", frac >= 0.9, f"success fraction {frac:.2f}")

@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
+import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +15,9 @@ from spheregd.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
+    ExperimentConfig,
     _fmt,
+    _run_dl_seed,
     config_hash,
     main,
     parse_config,
@@ -254,16 +259,93 @@ def test_run_sep_outputs_and_traces(tmp_path):
     assert trace[3] == "iter,f,grad_norm,zeta,w_inf,dist_target"
 
 
+def _same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    return names
+
+
 @pytest.mark.parametrize("command, text", [("run-sep", SEP_CFG), ("run-dl", DL_CFG)], ids=["sep", "dl"])
 def test_run_jobs_equivalence(tmp_path, command, text):
+    # --jobs 1 runs in-process; the default and --jobs 2 may use worker processes
     cfg = _write(tmp_path, "a.cfg", text)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o1")]) == EXIT_OK
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o2"), "--jobs", "2"]) == EXIT_OK
-    names = sorted(p.name for p in (tmp_path / "o1").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "o2").iterdir())
-    assert len(names) == 4  # summary.txt and one trace per seed
-    for name in names:
-        assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
+    for out, jobs in (("o1", ["--jobs", "1"]), ("default", []), ("o2", ["--jobs", "2"])):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / out)] + jobs) == EXIT_OK
+    assert len(_same_files(tmp_path / "o1", tmp_path / "default")) == 4  # summary.txt and one trace per seed
+    _same_files(tmp_path / "o1", tmp_path / "o2")
+
+
+def test_run_dl_more_seeds_than_workers(tmp_path, monkeypatch):
+    # 5 one-seed tasks on 3 workers: some workers run two seeds, some one
+    cfg = _write(tmp_path, "a.cfg", DL_CFG.replace("num_seeds = 3", "num_seeds = 5"))
+    assert main(["run-dl", "--config", cfg, "--out", str(tmp_path / "o1"), "--jobs", "1"]) == EXIT_OK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert main(["run-dl", "--config", cfg, "--out", str(tmp_path / "o3")]) == EXIT_OK
+    assert len(_same_files(tmp_path / "o1", tmp_path / "o3")) == 6
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the pools asked for and runs
+    their tasks in this process."""
+
+    pools = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.tasks = max_workers, []
+        self.pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cfgs, tasks):
+        self.tasks = [list(t) for t in tasks]
+        return map(fn, cfgs, self.tasks)
+
+
+@pytest.mark.parametrize(
+    "command, text, tasks",
+    [
+        ("run-sep", SEP_CFG, [[11, 12], [13, 14, 15]]),  # one contiguous block per worker
+        ("run-dl", DL_CFG, [[5], [6], [7], [8], [9]]),  # one task per seed
+    ],
+    ids=["sep", "dl"],
+)
+def test_jobs_are_clamped_to_usable_cpus(tmp_path, monkeypatch, command, text, tasks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "pools", [])
+    cfg = _write(tmp_path, "a.cfg", text.replace("num_seeds = 3", "num_seeds = 5"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "64"]) == EXIT_OK
+    assert [(pool.max_workers, pool.tasks) for pool in _InProcessPool.pools] == [(2, tasks)]
+
+
+def test_run_sep_default_creates_no_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run-sep created a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = _write(tmp_path, "a.cfg", SEP_CFG)
+    assert main(["run-sep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_dl_seed_holds_only_y_and_its_transpose():
+    n, p = 10, 20000
+    cfg = resolve_config(
+        ExperimentConfig(problem="dictionary", n=n, p=p, theta=0.25, num_seeds=1, seed_base=0, max_iters=40)
+    )
+    _run_dl_seed(replace(cfg, p=10), 0)  # the first run imports modules that tracemalloc would count
+    tracemalloc.start()
+    try:
+        _run_dl_seed(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * p * 8
 
 
 def _rows(path):

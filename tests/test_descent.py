@@ -257,13 +257,13 @@ def test_section_zeta_invariant_under_signed_permutations():
 def test_recovery_error():
     rng = np.random.default_rng(9)
     inst = gen_instance(6, 10, 0.3, "random_orthogonal", rng)
-    col, err = recovery_error(inst.A0[:, 2], inst)
+    col, err = recovery_error(inst.A0[:, 2], inst.A0)
     assert col == 3 and err <= 1e-12
-    col, err = recovery_error(-inst.A0[:, 0], inst)
+    col, err = recovery_error(-inst.A0[:, 0], inst.A0)
     assert col == -1 and err <= 1e-12
     for _ in range(20):
         q = sample_uniform_sphere(6, rng)
-        _, err = recovery_error(q, inst)
+        _, err = recovery_error(q, inst.A0)
         best = np.max(np.abs(inst.A0.T @ q))
         assert err**2 == pytest.approx(2.0 - 2.0 * best, abs=1e-12)
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from conftest import fd_riem_grad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spheregd.constants import CROSS_CHECK_TOL
 from spheregd.landscape import u_direction
@@ -30,6 +33,21 @@ def test_log_cosh_even_and_overflow_safe():
     b = log_cosh(-t, 0.01)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(0.0, 1e300)),
+    st.floats(1e-6, 1.0),
+)
+def test_log_cosh_finite_even_and_bracketed(ratios, mu):
+    # mu log cosh(t/mu) lies in [|t| - mu log 2, |t|], up to a few roundings of |t| and mu
+    t = ratios * mu
+    v = log_cosh(t, mu)
+    assert np.all(np.isfinite(v))
+    assert np.array_equal(v, log_cosh(-t, mu))
+    slack = 4.0 * np.finfo(float).eps * (t + mu)
+    assert np.all(t - mu * np.log(2.0) - slack <= v) and np.all(v <= t + slack)
 
 
 def test_mu_validation():

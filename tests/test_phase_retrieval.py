@@ -236,6 +236,23 @@ def test_experiment_rejects_empty_rngs():
         pr_experiment(4, x, 0.01, 1.0 / 35.0, 0.05, [])
 
 
+@pytest.mark.parametrize(
+    "n, zeta0, draws",
+    [
+        (32, 0.65, False),  # P = 0.155^32 ~ 1e-26: hopeless, so no generator is touched
+        (6, 0.7, True),  # P = 0.02^6: clears zeta0 in 1e5 draws with chance 6.4e-6, so they are drawn
+    ],
+)
+def test_experiment_fails_fast_on_a_hopeless_band(n, zeta0, draws):
+    x = np.eye(n, dtype=complex)[0]
+    c = 1.0 / 35.0
+    rngs = np.random.default_rng(4).spawn(1 if draws else 2)
+    before = [g.bit_generator.state for g in rngs]
+    with pytest.raises(ValueError, match="no start clears zeta0"):
+        pr_experiment(n, x, 0.95 * max_step_size(x, c), c, zeta0, rngs)
+    assert ([g.bit_generator.state for g in rngs] != before) == draws
+
+
 _Z = np.full(3, 0.1 + 0.2j)
 
 

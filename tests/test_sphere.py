@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spheregd.constants import (
     BALL_SLACK,
@@ -173,3 +176,36 @@ def test_scale_to_zeta():
         d = rng.standard_normal(9)
         w = scale_to_zeta(d, z0)
         assert zeta(w) == pytest.approx(z0, abs=1e-12)
+
+
+@st.composite
+def _points_and_steps(draw):
+    """A (B, n) block of sphere points, raw vectors G and a step length per row,
+    zero for some rows."""
+    b, n = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    Q = draw(hnp.arrays(np.float64, (b, n), elements=st.floats(-1.0, 1.0)))
+    norms = np.linalg.norm(Q, axis=1, keepdims=True)
+    assume(np.all(norms >= 1e-3))
+    G = draw(hnp.arrays(np.float64, (b, n), elements=st.floats(-1.0, 1.0)))
+    steps = draw(hnp.arrays(np.float64, b, elements=st.one_of(st.just(0.0), st.floats(0.0, 10.0))))
+    return Q / norms, G, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points_and_steps())
+def test_exp_map_block_keeps_unit_norm_and_zero_steps(case):
+    Q, G, steps = case
+    V = steps[:, None] * tangent_project(Q, G)
+    out = exp_map(Q, V)
+    assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= UNIT_NORM_TOL)
+    for k in np.flatnonzero(~V.any(axis=1)):
+        assert out[k].tobytes() == Q[k].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points_and_steps())
+def test_tangent_project_block_idempotent_and_orthogonal(case):
+    Q, G, _ = case
+    V = tangent_project(Q, G)
+    assert np.all(np.abs(np.vecdot(Q, V)) <= 1e-12)
+    assert np.all(np.abs(tangent_project(Q, V) - V) <= PROJECTION_IDEMPOTENT_TOL)
