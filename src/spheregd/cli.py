@@ -409,9 +409,9 @@ def _cmd_run(args):
     if (args.jobs or 1) > 1 and cfg.problem == "phase_retrieval":
         raise ConfigError("run-pr runs in one process; it does not read --jobs")
     cfg = resolve_config(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)  # an unwritable path fails before the batch runs
     summaries, traces, extras = run_batch(cfg, jobs=args.jobs)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_summary(os.path.join(cfg.out_dir, "summary.txt"), cfg, summaries, extras)
     for seed in sorted(traces):
         write_trace_csv(
@@ -465,6 +465,8 @@ def _cmd_probe_projection(args):
 
 
 def _cmd_probe_fluctuation(args):
+    if args.n < 2:
+        raise ValueError("need n >= 2")
     rng = np.random.default_rng(args.seed)
     d = rng.standard_normal(args.n - 1)
     w = scale_to_zeta(d, args.zeta)
@@ -573,7 +575,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"spheregd: config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as e:  # a probe argument out of range, here or in the library
+    except (ValueError, OSError) as e:  # a probe argument out of range, or an unwritable --out
         print(f"spheregd: error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,11 +20,12 @@ _LOG2 = float(np.log(2.0))
 def check_mu(mu):
     """Validate the smoothing parameter.
 
-    Errors when mu <= 0; warns (does not error) at mu >= 1/16, where the
-    positivity guarantee for the outward gradient projection no longer holds.
+    Errors unless 0 < mu < inf (nan included); warns (does not error) at
+    mu >= 1/16, where the positivity guarantee for the outward gradient
+    projection no longer holds.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
     if mu >= 1.0 / 16.0:
         warnings.warn(
             f"mu = {mu} >= 1/16: outward-projection positivity is not guaranteed",

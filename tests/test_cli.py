@@ -147,6 +147,12 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (("theta = 0.25", "theta = 0.25\ndictionary_mode = hadamard"), ["run-dl"]),
         (("theta = 0.25", "theta = 0.6"), ["run-dl"]),
         (("zeta0 = 0.03", "zeta0 = 0.03\nc = 0.3"), ["run-pr"]),
+        (None, ["probe-fluctuation", "--n", "4", "--mu", "nan", "--p-list", "10"]),
+        (None, ["probe-projection", "--n", "6", "--mu", "inf", "--samples", "2"]),
+        (None, ["probe-projection", "--n", "1"]),
+        (None, ["probe-fluctuation", "--n", "1", "--p-list", "10"]),
+        (None, ["run-sep", "--out", "{tmp}/afile/sub"]),
+        (None, ["probe-critical", "--n", "3", "--out", "{tmp}/afile"]),
     ],
     ids=[
         "seed_base-negative",
@@ -188,15 +194,24 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "config-dictionary_mode-unknown",
         "config-dl-theta-over-half",
         "config-pr-c-over-quarter",
+        "fluctuation-mu-nan",
+        "projection-mu-inf",
+        "projection-n1",
+        "fluctuation-n1",
+        "out-under-a-file",
+        "out-is-a-file",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
+    _write(tmp_path, "afile", "")  # a regular file where --out wants a directory
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if argv[0].startswith("run-"):
         base = {"run-sep": SEP_CFG, "run-dl": DL_CFG, "run-pr": PR_CFG}[argv[0]]
         text = base if edit is None else base.replace(*edit)
         if "--config" not in argv:
             argv = argv + ["--config", _write(tmp_path, "a.cfg", text)]
-        argv = argv + ["--out", str(tmp_path / "o")]
+        if "--out" not in argv:
+            argv = argv + ["--out", str(tmp_path / "o")]
     try:
         code = main(argv)
     except SystemExit as e:  # argparse reports a malformed command line by exiting

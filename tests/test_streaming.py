@@ -1,6 +1,7 @@
 """The streamed Monte-Carlo layer: the same draws and bits as whole-block
 sampling, with memory bounded by the block rather than by the sample count."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheregd.datagen import GATE_RUN, MC_BLOCK_BYTES, gen_bg_matrix, gen_instance
-from spheregd.landscape import _section_block, volume_curve
+from spheregd import landscape
+from spheregd.landscape import _section_rows, volume_curve
 from spheregd.objectives import _sech2, dl_pop_grad_estimate, dl_pop_projected_grad_estimate
 from spheregd.sphere import chart_to_sphere, in_section
 
@@ -99,7 +101,8 @@ def test_section_rows_do_not_depend_on_the_block(n):
     g = np.random.default_rng(3).standard_normal((sum(sizes), n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     rng = np.random.default_rng(3)
-    qn, winf = (np.concatenate(parts) for parts in zip(*(_section_block(n, m, rng) for m in sizes)))
+    blocks = (_section_rows(rng.standard_normal((m, n))) for m in sizes)
+    qn, winf = (np.concatenate(parts) for parts in zip(*blocks))
     assert _same_bits(qn, g[:, -1]) and _same_bits(winf, np.abs(g[:, :-1]).max(axis=1))
 
 
@@ -125,6 +128,25 @@ def test_population_estimates_match_whole_blocks(n):
     for N in sorted({1, GATE_RUN // n, GATE_RUN // n + 1, 100_001}):
         got = dl_pop_grad_estimate(q, mu, theta, N, np.random.default_rng(N))
         assert _same_bits(got, _grad_estimate_ref(q, mu, theta, N, np.random.default_rng(N)))
+
+
+def test_no_draw_thread_outlives_volume_curve(monkeypatch):
+    before = threading.active_count()
+    volume_curve(10, [0.0, 0.5], 300_000, np.random.default_rng(0))
+    assert threading.active_count() == before
+    calls = []
+
+    def fail_on_the_second_block(qn, winf, zeta0):
+        calls.append(qn.size)
+        if len(calls) == 2:
+            raise RuntimeError("reduction failed")
+        return in_section(qn, winf, zeta0)
+
+    monkeypatch.setattr(landscape, "in_section", fail_on_the_second_block)
+    with pytest.raises(RuntimeError, match="reduction failed") as raised:
+        volume_curve(10, [0.0], 300_000, np.random.default_rng(0))
+    # the traceback keeps volume_curve's frame alive: the join cannot wait for its collection
+    assert raised.tb is not None and len(calls) == 2 and threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
