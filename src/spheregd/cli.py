@@ -257,12 +257,10 @@ def _run_seeds(cfg, seeds):
 def _run_dl_seed(cfg, seed):
     rng = np.random.default_rng(seed)
     inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
-    A0, Y = inst.A0, inst.Y
-    del inst  # the run reads Y and A0 only: free X0 before dl_objective copies Y^T
     q0 = sample_uniform_sphere(cfg.n, rng)
     dcfg = DescentConfig(cfg.eta, cfg.max_iters, stop_ball=BallStop("l2", cfg.r_or_s))
-    trace = riemannian_gd(dl_objective(Y, cfg.mu), q0, dcfg, A0, traced=cfg.save_traces)
-    return _summary(seed, trace, recovery_error(trace.q_final, A0)[1]), trace
+    trace = riemannian_gd(dl_objective(inst.Y, cfg.mu), q0, dcfg, inst.A0, traced=cfg.save_traces)
+    return _summary(seed, trace, recovery_error(trace.q_final, inst.A0)[1]), trace
 
 
 def run_batch(cfg, jobs=None):

@@ -10,13 +10,9 @@ GATE_RUN = 1 << 13  # 64 KiB of uniforms, under malloc's 128 KiB mmap threshold:
 
 @dataclass(frozen=True)
 class DictionaryInstance:
-    """A generated problem with ground truth retained for evaluation."""
+    """A generated problem: the data Y and the ground-truth dictionary A0."""
 
-    n: int
-    p: int
-    theta: float
     A0: np.ndarray
-    X0: np.ndarray
     Y: np.ndarray
 
 
@@ -57,14 +53,14 @@ def haar_orthogonal(n, rng):
 
 
 def gen_instance(n, p, theta, dictionary_mode, rng):
-    """Generate Y = A0 X0; dictionary_mode is "identity" or "random_orthogonal"."""
-    X0 = gen_bg_matrix(n, p, theta, rng)
+    """Generate Y = A0 X0; dictionary_mode is "identity" or "random_orthogonal".
+    X0 is drawn first, then A0, and only Y is kept: in identity mode it is X0."""
+    Y = gen_bg_matrix(n, p, theta, rng)
     if dictionary_mode == "identity":
         A0 = np.eye(n)
-        Y = X0.copy()
     elif dictionary_mode == "random_orthogonal":
         A0 = haar_orthogonal(n, rng)
-        Y = A0 @ X0
+        Y = A0 @ Y
     else:
         raise ValueError(f"unknown dictionary_mode {dictionary_mode!r}")
-    return DictionaryInstance(n=n, p=p, theta=theta, A0=A0, X0=X0, Y=Y)
+    return DictionaryInstance(A0=A0, Y=Y)

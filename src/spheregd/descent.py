@@ -6,13 +6,14 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import START_NORM_TOL
 from .sphere import exp_map
 
 STATUS_BALL = "ball_entered"
 STATUS_GRAD = "grad_tol"
 STATUS_MAX = "max_iters"
 STATUS_NAN = "aborted_nan"
+
+START_NORM_TOL = 1e-9  # accepted deviation of a start point's norm from 1
 
 
 @dataclass(frozen=True)

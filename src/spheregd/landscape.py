@@ -1,11 +1,11 @@
-"""Critical-point structure and geometric probes for the separable objective.
+"""Critical points of the separable objective, and the Monte-Carlo probes.
 
 The separable objective's critical points are exactly the normalized sign
 patterns in {-1, 0, +1}^n; their stability is determined by support size
 (1-sparse patterns are the minimizers, full-support patterns the maximizers,
-everything else a saddle).  Gradient flow from a generic point keeps the
-signs of its maximal-magnitude coordinates and kills the rest, which gives a
-closed-form flow-limit map and a membership test for the stable manifolds.
+everything else a saddle).  The probes measure section volumes and the
+outward slopes that carry descent out of the low-margin band, for the
+separable objective and the finite-sample and infinite-data dictionary ones.
 """
 
 import concurrent.futures
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TIE_TOL
 from .datagen import MC_BLOCK_BYTES, gen_bg_matrix
 from .objectives import (
     check_mu,
@@ -24,7 +23,7 @@ from .objectives import (
     dl_projected_grad,
     sep_projected_grad,
 )
-from .sphere import chart_to_sphere, in_section, scale_to_zeta
+from .sphere import in_section, scale_to_zeta
 
 ENUMERATION_MAX_N = 12  # 3^n - 1 points; keep the blow-up bounded
 
@@ -66,34 +65,6 @@ def enumerate_critical_points(n):
             continue
         out.append(CriticalPoint(pattern=pat, support_size=k, kind=classify_support(k, n)))
     return out
-
-
-def predict_flow_limit(q):
-    """Critical point that gradient flow from q converges to: coordinates
-    within TIE_TOL of the maximal magnitude keep their signs, the rest vanish."""
-    q = np.asarray(q, dtype=float)
-    m = float(np.max(np.abs(q)))
-    pattern = tuple(int(np.sign(v)) if abs(v) >= m - TIE_TOL else 0 for v in q)
-    k = sum(1 for v in pattern if v != 0)
-    return CriticalPoint(pattern=pattern, support_size=k, kind=classify_support(k, q.size))
-
-
-def stable_manifold_membership(q, cp):
-    """Whether q lies on the stable manifold of cp: the maximal-magnitude
-    coordinate set of q must equal cp's support with matching signs."""
-    return predict_flow_limit(q).pattern == cp.pattern
-
-
-def u_direction(w, i):
-    """Outward tangent direction e_i sign(w_i) - e_n |w_i|/q_n at q(w), w_i != 0."""
-    w = np.asarray(w, dtype=float)
-    if w[i] == 0.0:
-        raise ValueError("w_i = 0: outward direction undefined")
-    q = chart_to_sphere(w)
-    d = np.zeros(q.size)
-    d[i] = 1.0 if w[i] > 0 else -1.0
-    d[-1] = -abs(float(w[i])) / q[-1]
-    return d
 
 
 def _drawn_ahead(n, num_samples, rng):
@@ -139,7 +110,7 @@ def volume_curve(n, zetas, num_samples, rng):
     The helper makes every draw, in order and with the serial block sizes,
     so the fractions, and probe-volume's CSV, are bit for bit those of a
     serial loop.  It is joined before this returns or raises, so a later
-    fork sees no thread.  The population estimators in objectives stay
+    fork sees no thread.  The population estimator in objectives stays
     serial: drawn ahead the same way, the gate-8 reference gained no time
     and held a second 12.8 MB block.
     """
@@ -212,7 +183,6 @@ def fluctuation_probe(w, i, mu, theta, p_list, trials, rng, ref_samples=500_000)
     estimate; each (p, trial) pair then draws a fresh Bernoulli-Gaussian data
     matrix.  Returns a list of (p, mean absolute deviation) rows.
     """
-    check_mu(mu)
     p_list = [int(p) for p in p_list]
     if p_list != sorted(p_list):
         raise ValueError("p_list must be increasing")

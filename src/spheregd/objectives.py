@@ -2,8 +2,8 @@
 
 Two objectives share the scalar surrogate mu * log(cosh(t / mu)): the
 separable model summing over the coordinates of q, and the data-driven one
-averaging over columns y of a data matrix.  Monte-Carlo estimators for the
-infinite-data quantities draw from the generator they are passed, in
+averaging over columns y of a data matrix.  The Monte-Carlo estimator of the
+infinite-data outward slope draws from the generator it is passed, in
 fixed-size blocks, so a seed fixes the estimate.
 """
 
@@ -60,14 +60,6 @@ def sep_objective(mu):
     return oracle
 
 
-def sep_chart_grad(w, mu):
-    """Gradient of the separable objective in chart coordinates:
-    tanh(w_i/mu) - tanh(q_n/mu) w_i / q_n."""
-    w = np.asarray(w, dtype=float)
-    qn = chart_to_sphere(w)[-1]
-    return np.tanh(w / mu) - np.tanh(qn / mu) * (w / qn)
-
-
 def sep_projected_grad(w, i, mu):
     """Outward-direction slope of the separable objective at q(w), coordinate i.
 
@@ -110,6 +102,7 @@ def dl_objective(Y, mu):
 def dl_projected_grad(w, i, Y, mu):
     """Finite-sample outward-direction slope at q(w) for data Y:
     (1/p) sum_k tanh(q'y_k/mu) (sign(w_i) y_{k,i} - |w_i|/q_n y_{k,n})."""
+    check_mu(mu)
     w = np.asarray(w, dtype=float)
     if w[i] == 0.0:
         raise ValueError("w_i = 0: coordinate sign undefined")
@@ -143,6 +136,7 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng):
     variance at the two special coordinates relative to projecting a naive
     full-gradient sample.  Returns (mean, standard error).
     """
+    check_mu(mu)
     check_theta(theta)
     if num_samples < 1:
         raise ValueError("need num_samples >= 1")
@@ -177,26 +171,10 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng):
     return mean, float(np.sqrt(var / num_samples))
 
 
-def dl_pop_grad_estimate(q, mu, theta, num_samples, rng):
-    """Plain Monte-Carlo estimate of the infinite-data Euclidean gradient
-    E[tanh(q'x / mu) x] over Bernoulli-Gaussian x."""
-    check_theta(theta)
-    if num_samples < 1:
-        raise ValueError("need num_samples >= 1")
-    q = np.asarray(q, dtype=float)
-    acc = np.zeros(q.size)
-    done = 0
-    while done < num_samples:
-        m = int(min(100_000, num_samples - done))  # the block size fixes a seed's draws
-        X = gate_in_place(rng.standard_normal((m, q.size)), theta, rng)
-        acc += np.tanh(X @ q / mu) @ X
-        done += m
-    return acc / num_samples
-
-
 def default_sep_mu(n):
-    """Default smoothing for separable runs: 0.1 / (sqrt(n) log n)."""
-    return 0.1 / (np.sqrt(n) * np.log(n))
+    """Default smoothing for separable runs: 0.1 / (sqrt(n) log n), capped at
+    0.06 so it stays under 1/16 (only n = 2 reaches the cap)."""
+    return min(0.06, 0.1 / (np.sqrt(n) * np.log(n)))
 
 
 def default_sep_eta(n, mu):

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REGIONS = ("S1", "S2", "S3", "S4")
-
 
 @dataclass(frozen=True, eq=False)
 class PRDecomposition:
@@ -91,30 +89,6 @@ def pr_decompose(z, x):
     return PRDecomposition(w=w, zeta=float(zeta), phi=float(phi))
 
 
-def pr_reconstruct(dec, x):
-    """Inverse of pr_decompose."""
-    x, x2 = _signal(x)
-    return dec.w + dec.zeta * np.exp(1j * dec.phi) * x / math.sqrt(x2)
-
-
-def pr_region(z, x, c):
-    """Classify z into the nested shells by ||z||^2 / ||x||^2:
-    S1 (..1/2], S2 (1/2..1-c], S3 (1-c..1], S4 (1..1+c], else "outside"."""
-    if not (0.0 < c < 0.25):
-        raise ValueError("need 0 < c < 1/4")
-    _, _, z2, x2 = _norms(z, x)
-    r = z2 / x2
-    if r <= 0.5:
-        return "S1"
-    if r <= 1.0 - c:
-        return "S2"
-    if r <= 1.0:
-        return "S3"
-    if r <= 1.0 + c:
-        return "S4"
-    return "outside"
-
-
 def max_step_size(x, c):
     """Largest admissible step size sqrt(c) / (4 ||x||^2)."""
     if not (0.0 < c < 0.25):
@@ -154,13 +128,11 @@ def iteration_budget(x, eta, c, zeta_init):
 
 @dataclass
 class PRTrajectory:
-    zeta_init: float
     iterations: int
     converged: bool
     final_z: np.ndarray
     final_dist: float
     final_zeta: float
-    min_zeta: float
     max_zeta_dev: float  # worst relative deviation of the zeta recurrence
     max_w_dev: float  # worst relative deviation of the ||w|| recurrence
 
@@ -193,8 +165,7 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     target = math.sqrt(5.0 * c) * xn
     ip, zeta, _, W = _decompose_rows(Z, x, xn)
     wn = _row_norms(W)
-    # per running row: initial and smallest zeta, worst zeta and ||w|| deviations
-    stats = np.stack([zeta, zeta, np.zeros_like(zeta), np.zeros_like(zeta)])
+    stats = np.zeros((2, len(Z)))  # per running row: worst zeta and ||w|| deviations
     converged = np.zeros(len(Z), dtype=bool)
     rows = np.arange(len(Z))  # caller's row index of each row still running
     runs = [None] * len(Z)
@@ -207,9 +178,8 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
             go &= ~converged
         if not go.all():
             for k in np.flatnonzero(~go):
-                zi, mz, zd, wd = stats[:, k].tolist()
                 end = Z[k].copy(), float(dist[k]), float(zeta[k])  # final z, distance and zeta
-                runs[rows[k]] = PRTrajectory(zi, t, bool(converged[k]), *end, mz, zd, wd)
+                runs[rows[k]] = PRTrajectory(t, bool(converged[k]), *end, *stats[:, k].tolist())
             Z, ip, zeta, wn, z2, converged, rows = (a[go] for a in (Z, ip, zeta, wn, z2, converged, rows))
             stats = stats[:, go]
             if not rows.size:
@@ -219,9 +189,8 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
         Z = _step(Z, z2, ip, x, x2, eta)
         ip, zeta, _, W = _decompose_rows(Z, x, xn)
         wn = _row_norms(W)
-        stats[1] = np.fmin(stats[1], zeta)
-        stats[2] = np.fmax(stats[2], np.abs(zeta - pred_zeta) / np.maximum(np.abs(pred_zeta), 1e-6 * xn))
-        stats[3] = np.fmax(stats[3], np.abs(wn - pred_wn) / np.maximum(np.abs(pred_wn), 1e-6 * xn))
+        stats[0] = np.fmax(stats[0], np.abs(zeta - pred_zeta) / np.maximum(np.abs(pred_zeta), 1e-6 * xn))
+        stats[1] = np.fmax(stats[1], np.abs(wn - pred_wn) / np.maximum(np.abs(pred_wn), 1e-6 * xn))
     return runs
 
 

@@ -16,7 +16,7 @@ neighborhood of the pole as zeta0 grows.
 
 import numpy as np
 
-from .constants import C_ZETA_BOUNDARY_TOL
+C_ZETA_BOUNDARY_TOL = 1e-12  # relative slack of the section-membership comparison
 
 
 def chart_to_sphere(w):
@@ -57,18 +57,6 @@ def exp_map(q, v):
     return out / np.sqrt(np.vecdot(out, out))[..., None]
 
 
-def zeta(w):
-    """Margin q_n / ||w||_inf - 1 of the chart point q(w); +inf at w = 0."""
-    w = np.asarray(w, dtype=float)
-    winf = float(np.max(np.abs(w))) if w.size else 0.0
-    if winf == 0.0:
-        return np.inf
-    ss = float(w @ w)
-    if ss >= 1.0:
-        raise ValueError(f"chart vector must satisfy ||w|| < 1, got ||w||^2 = {ss}")
-    return float(np.sqrt(1.0 - ss) / winf - 1.0)
-
-
 def in_section(qn, winf, zeta0):
     """Section membership q_n >= (1 + zeta0) ||w||_inf, elementwise.  A 1e-12
     relative slack lets exact boundary points (equal-magnitude coordinates)
@@ -88,19 +76,10 @@ def sample_uniform_sphere(n, rng):
     return g / nn
 
 
-def linf_inner_radius(zeta0, n):
-    """Radius of the largest L-inf chart ball inside the zeta0 section:
-    1/sqrt((2+zeta0) zeta0 + n)."""
-    return 1.0 / np.sqrt((2.0 + zeta0) * zeta0 + n)
-
-
-def l2_outer_radius(zeta0, n):
-    """Radius of the smallest L2 chart ball containing the zeta0 section."""
-    return np.sqrt(n - 1.0) * linf_inner_radius(zeta0, n)
-
-
 def scale_to_zeta(direction, zeta0):
     """Scale a nonzero chart direction so the result has margin exactly zeta0."""
+    if not 0.0 <= zeta0 < np.inf:  # also rejects NaN
+        raise ValueError("zeta must be finite and >= 0")
     d = np.asarray(direction, dtype=float)
     dinf = float(np.max(np.abs(d)))
     if dinf == 0.0:

@@ -7,9 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spheregd.constants import PR_DECOMP_TOL, PR_IDENTITY_RTOL, PR_ORTHO_TOL
 from spheregd.phase_retrieval import (
-    PRDecomposition,
     _decompose_rows,
     iteration_budget,
     max_step_size,
@@ -17,12 +15,29 @@ from spheregd.phase_retrieval import (
     pr_descend,
     pr_descend_block,
     pr_experiment,
-    pr_reconstruct,
-    pr_region,
     pr_value,
     region_invariance_check,
     sample_ball,
 )
+
+PR_IDENTITY_RTOL = 1e-10  # relative tolerance of the exact zeta / ||w|| update identities
+PR_DECOMP_TOL = 1e-12  # decomposition roundtrip
+PR_ORTHO_TOL = 1e-10  # orthogonality of the decomposition's w to x
+
+
+def pr_reconstruct(dec, x):
+    """Inverse of pr_decompose."""
+    return dec.w + dec.zeta * np.exp(1j * dec.phi) * x / math.sqrt(np.vdot(x, x).real)
+
+
+def pr_region(z, x, c):
+    """Classify z into the nested shells by ||z||^2 / ||x||^2:
+    S1 (..1/2], S2 (1/2..1-c], S3 (1-c..1], S4 (1..1+c], else "outside"."""
+    r = np.vdot(z, z).real / np.vdot(x, x).real
+    for region, top in (("S1", 0.5), ("S2", 1.0 - c), ("S3", 1.0), ("S4", 1.0 + c)):
+        if r <= top:
+            return region
+    return "outside"
 
 
 def _rand_signal(n, rng, norm=1.0):
@@ -125,8 +140,6 @@ def test_region_classification():
     assert pr_region(z, x, 0.05) == "S2"  # 0.9 <= 1 - 0.05
     assert pr_region(z, x, 0.2) == "S3"  # 0.9 > 1 - 0.2
     assert pr_region(np.sqrt(1.3) * x, x, 0.2) == "outside"
-    with pytest.raises(ValueError):
-        pr_region(z, x, 0.3)
 
 
 def test_dist_identity_against_phase_grid():
@@ -205,10 +218,6 @@ def test_experiment_summary():
     exp = pr_experiment(n, x, eta, c, zeta0, np.random.default_rng(8).spawn(50))
     assert exp.success_fraction == 1.0
     assert exp.band_fraction <= exp.band_bound + 3.0 * math.sqrt(0.25 / exp.total_draws)
-    # margin never falls below min(initial margin, sqrt(7)/4 ||x||)
-    for run in exp.runs:
-        floor = min(run.zeta_init, math.sqrt(7.0) / 4.0)
-        assert run.min_zeta >= floor * (1.0 - 1e-10)
     assert all(r.final_dist < math.sqrt(5.0 * c) for r in exp.runs)
 
 
@@ -261,8 +270,6 @@ _Z = np.full(3, 0.1 + 0.2j)
     [
         pytest.param(lambda x: pr_value(_Z, x), id="pr_value"),
         pytest.param(lambda x: pr_decompose(_Z, x), id="pr_decompose"),
-        pytest.param(lambda x: pr_reconstruct(PRDecomposition(_Z, 0.1, 0.0), x), id="pr_reconstruct"),
-        pytest.param(lambda x: pr_region(_Z, x, 0.1), id="pr_region"),
         pytest.param(lambda x: max_step_size(x, 0.1), id="max_step_size"),
         pytest.param(lambda x: iteration_budget(x, 0.01, 0.1, 0.2), id="iteration_budget"),
         pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, 5), id="pr_descend"),
@@ -332,7 +339,8 @@ def test_decompose_roundtrip_and_block_rows(case):
 
 def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
     """The one-point loop written out with 1-D numpy calls: the reference the
-    engine's row forms must reproduce bit for bit."""
+    engine's row forms must reproduce bit for bit.  Returns the PRTrajectory
+    fields, then the initial and the smallest margin."""
 
     def decompose(z):
         ip = np.vdot(x, z)
@@ -361,7 +369,7 @@ def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
         max_zdev = max(max_zdev, abs(zeta - pred_zeta) / max(abs(pred_zeta), 1e-6 * xn))
         max_wdev = max(max_wdev, abs(wn - pred_wn) / max(abs(pred_wn), 1e-6 * xn))
         min_zeta = min(min_zeta, zeta)
-    return (zeta_init, t, converged, z, dist, zeta, min_zeta, max_zdev, max_wdev)
+    return (t, converged, z, dist, zeta, max_zdev, max_wdev), (zeta_init, min_zeta)
 
 
 def _bits(values):
@@ -388,7 +396,12 @@ def test_block_rows_match_one_row_runs(n, signal):
             one_row = pr_descend(z0, x, eta, c, budget, stop_at_target)
             bits = _bits(getattr(run, f.name) for f in fields(run))
             assert bits == _bits(getattr(one_row, f.name) for f in fields(run))
-            assert bits == _bits(_scalar_descend(z0, x, eta, c, budget, stop_at_target))
+            scalar, (zeta_init, min_zeta) = _scalar_descend(z0, x, eta, c, budget, stop_at_target)
+            assert bits == _bits(scalar)
+            # the margin never falls below min(initial margin, sqrt(7)/4 ||x||), ||x|| = 1,
+            # except by rounding at the orthogonal start, whose margin is rounding noise
+            if zeta_init > 1e-12:
+                assert min_zeta >= min(zeta_init, math.sqrt(7.0) / 4.0) * (1.0 - 1e-10)
             assert _bits([run.final_zeta]) == _bits([pr_decompose(run.final_z, x).zeta])
         if stop_at_target:
             assert any(r.converged and r.iterations < b for r, b in zip(runs, budgets))

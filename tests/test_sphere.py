@@ -4,22 +4,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spheregd.constants import (
-    BALL_SLACK,
-    PROJECTION_IDEMPOTENT_TOL,
-    UNIT_NORM_TOL,
-)
 from spheregd.sphere import (
     chart_to_sphere,
     exp_map,
     in_section,
-    l2_outer_radius,
-    linf_inner_radius,
     sample_uniform_sphere,
     scale_to_zeta,
     tangent_project,
-    zeta,
 )
+
+UNIT_NORM_TOL = 1e-12  # sphere membership after construction and after every geodesic step
+PROJECTION_IDEMPOTENT_TOL = 1e-14  # projecting twice equals projecting once
+BALL_SLACK = 1e-12  # slack for the section ball-inclusion checks
+
+
+def zeta(w):
+    """Margin q_n / ||w||_inf - 1 of the chart point q(w); +inf at w = 0."""
+    winf = float(np.max(np.abs(w))) if w.size else 0.0
+    return np.inf if winf == 0.0 else float(chart_to_sphere(w)[-1] / winf - 1.0)
+
+
+def linf_inner_radius(zeta0, n):
+    """Radius of the largest L-inf chart ball inside the zeta0 section:
+    1/sqrt((2+zeta0) zeta0 + n)."""
+    return 1.0 / np.sqrt((2.0 + zeta0) * zeta0 + n)
 
 
 def test_chart_center():
@@ -158,13 +166,12 @@ def test_section_ball_inclusions(n, zeta0):
     s = linf_inner_radius(zeta0, n)
     W = rng.uniform(-s, s, size=(100_000, n - 1))
     qn = np.sqrt(1.0 - np.einsum("ij,ij->i", W, W))
-    winf = np.abs(W).max(axis=1)
-    assert np.all(qn >= (1.0 + zeta0) * winf * (1.0 - BALL_SLACK))
+    assert np.all(in_section(qn, np.abs(W).max(axis=1), zeta0))
 
-    r2 = l2_outer_radius(zeta0, n)
+    r2 = np.sqrt(n - 1.0) * s
     g = rng.standard_normal((400_000, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    members = g[g[:, -1] >= (1.0 + zeta0) * np.abs(g[:, :-1]).max(axis=1)]
+    members = g[in_section(g[:, -1], np.abs(g[:, :-1]).max(axis=1), zeta0)]
     assert members.shape[0] > 100
     norms = np.linalg.norm(members[:, :-1], axis=1)
     assert np.all(norms <= r2 * (1.0 + BALL_SLACK))
