@@ -9,7 +9,7 @@ reproduces every file byte for byte regardless of --jobs.
 
 --jobs k runs a batch in min(k, num_seeds, usable CPUs) worker processes, or
 in-process for 1.  run-dl defaults to every usable CPU and hands out each seed
-as one task; a worker holds one instance, Y and Y^T (2 n p 8 bytes).  run-sep
+as one task; a worker holds one instance, whose Y is n p 8 bytes.  run-sep
 defaults to 1, one lockstep block per worker; run-pr runs in-process.
 
 Exit codes: 0 ok, 1 usage or config error, 2 numerical abort (non-finite

@@ -15,6 +15,12 @@ from .datagen import check_theta, gate_in_place
 from .sphere import chart_to_sphere, tangent_project
 
 _LOG2 = float(np.log(2.0))
+_PANEL_BYTES = 1 << 19  # Y per panel of dl_objective's pass: q'P leaves P in L2 for P tanh(q'P / mu)
+
+
+def _check_mu_value(mu):
+    if not 0.0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
 
 
 def check_mu(mu):
@@ -24,8 +30,7 @@ def check_mu(mu):
     mu >= 1/16, where the positivity guarantee for the outward gradient
     projection no longer holds.
     """
-    if not 0.0 < mu < np.inf:
-        raise ValueError("mu must be positive and finite")
+    _check_mu_value(mu)
     if mu >= 1.0 / 16.0:
         warnings.warn(
             f"mu = {mu} >= 1/16: outward-projection positivity is not guaranteed",
@@ -79,30 +84,41 @@ def dl_objective(Y, mu):
     """Oracle (q, value=True) -> (value, Riemannian gradient) for the data
     objective: the average of mu log cosh(q'y_k / mu) over the columns y_k of Y.
 
-    Takes a point or a (..., n) block like sep_objective.  The products are
-    written (Y^T Q^T)^T and (Y T^T)^T because a one-row block then gives the
-    bits of the 1-D call; Q Y and T Y^T differ in the last bits.
+    Takes a point or a (..., n) block like sep_objective, one row at a time, so
+    each row gets the bits of its own 1-D call.  Y is kept, not copied, and read
+    once per point in column panels P of _PANEL_BYTES: c = q'P, then P tanh(c/mu).
     """
     check_mu(mu)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"data matrix must be 2-D, got shape {Y.shape}")
-    YT = Y.T.copy()
-    p = Y.shape[1]
+    n, p = Y.shape
+    if p == 0:
+        raise ValueError("data matrix has no columns")
+    cols = max(1, _PANEL_BYTES // (8 * n))
+    panels = [(a, Y[:, a : a + cols]) for a in range(0, p, cols)]
 
     def oracle(q, value=True):
-        corr = (YT @ q.T).T
-        val = np.mean(log_cosh(corr, mu), axis=-1) if value else None
-        g = (Y @ np.tanh(corr / mu).T).T / p
-        return val, tangent_project(q, g)
+        if q.shape[-1:] != (n,):
+            raise ValueError(f"point of shape {q.shape} does not match data matrix of shape {Y.shape}")
+        Q = q.reshape(-1, n)
+        G, C = np.zeros(Q.shape), (np.empty((len(Q), p)) if value else [None] * len(Q))
+        for qk, g, c in zip(Q, G, C):
+            for a, P in panels:
+                t = (qk @ P if c is None else np.matmul(qk, P, out=c[a : a + P.shape[1]])) / mu
+                g += P @ np.tanh(t, out=t)
+        G /= p
+        val = np.mean(log_cosh(C, mu), axis=-1).reshape(q.shape[:-1])[()] if value else None
+        return val, tangent_project(q, G.reshape(q.shape))
 
     return oracle
 
 
 def dl_projected_grad(w, i, Y, mu):
     """Finite-sample outward-direction slope at q(w) for data Y:
-    (1/p) sum_k tanh(q'y_k/mu) (sign(w_i) y_{k,i} - |w_i|/q_n y_{k,n})."""
-    check_mu(mu)
+    (1/p) sum_k tanh(q'y_k/mu) (sign(w_i) y_{k,i} - |w_i|/q_n y_{k,n}).
+    Leaves the mu >= 1/16 warning to the population estimator: a probe warns once."""
+    _check_mu_value(mu)
     w = np.asarray(w, dtype=float)
     if w[i] == 0.0:
         raise ValueError("w_i = 0: coordinate sign undefined")
@@ -151,8 +167,7 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng):
     qo = q[keep]
     pref = wi * theta * (1.0 - theta) / mu
 
-    total = 0.0
-    total_sq = 0.0
+    total = m2 = 0.0  # sum, and sum of squared deviations from the mean, of the blocks so far
     done = 0
     while done < num_samples:
         m = int(min(200_000, num_samples - done))  # the block size fixes a seed's draws
@@ -160,15 +175,14 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng):
         vi = rng.standard_normal(m)
         vn = rng.standard_normal(m)
         vals = pref * (_sech2((X + wi * vi) / mu) - _sech2((X + qn * vn) / mu))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        s = float(vals.sum())
+        vals -= s / m
+        delta = s / m - total / max(done, 1)  # Chan et al.'s merge of the blocks' (mean, M2)
+        m2 += float(vals @ vals) + delta * delta * done * m / (done + m)
+        total += s
         done += m
 
-    mean = total / num_samples
-    if num_samples == 1:
-        return mean, 0.0
-    var = max(0.0, (total_sq / num_samples - mean * mean)) * num_samples / (num_samples - 1)
-    return mean, float(np.sqrt(var / num_samples))
+    return total / num_samples, float(np.sqrt(m2 / max(num_samples - 1, 1) / num_samples))
 
 
 def default_sep_mu(n):

@@ -1,12 +1,16 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import fd_riem_grad, sep_chart_grad, u_direction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spheregd.datagen import gen_bg_matrix
 from spheregd.objectives import (
+    _PANEL_BYTES,
     check_mu,
     dl_objective,
     dl_pop_projected_grad_estimate,
@@ -15,7 +19,7 @@ from spheregd.objectives import (
     sep_objective,
     sep_projected_grad,
 )
-from spheregd.sphere import chart_to_sphere, sample_uniform_sphere, scale_to_zeta
+from spheregd.sphere import chart_to_sphere, sample_uniform_sphere, scale_to_zeta, tangent_project
 
 CROSS_CHECK_TOL = 1e-12  # closed-form outward slope vs. the explicit inner-product route
 
@@ -163,6 +167,77 @@ def test_dl_dimension_mismatch():
         dl_objective(np.zeros((4, 5)), 0.05)(np.zeros(3))
     with pytest.raises(ValueError):
         dl_objective(np.zeros(4), 0.05)
+
+
+def test_dl_rejects_empty_data_and_points_of_another_length():
+    with pytest.raises(ValueError, match="no columns"):
+        dl_objective(np.zeros((4, 0)), 0.01)
+    oracle = dl_objective(np.ones((4, 5)), 0.01)
+    for q in (np.zeros(3), np.zeros((2, 5)), np.zeros(0)):
+        with pytest.raises(ValueError, match=rf"{re.escape(str(q.shape))}.*\(4, 5\)"):
+            oracle(q)
+
+
+def _two_matrix_dl_objective(Y, mu):
+    """The oracle before the panel pass: Y and a copy of Y^T, each read in full."""
+    YT, p = Y.T.copy(), Y.shape[1]
+
+    def oracle(q, value=True):
+        corr = (YT @ q.T).T
+        val = np.mean(log_cosh(corr, mu), axis=-1) if value else None
+        return val, tangent_project(q, (Y @ np.tanh(corr / mu).T).T / p)
+
+    return oracle
+
+
+@pytest.mark.parametrize("n", [2, 10, 20])
+def test_dl_panels_match_the_two_matrix_oracle(n):
+    cols = _PANEL_BYTES // (8 * n)
+    rng = np.random.default_rng(n)
+    for p in (1, cols - 1, cols, cols + 1, 3 * cols + 7):
+        Y = gen_bg_matrix(n, p, 0.25, rng)
+        Y[:, 0] += 1.0  # no all-zero data at p = 1
+        got, ref = dl_objective(Y, 0.01), _two_matrix_dl_objective(Y, 0.01)
+        Q = np.array([sample_uniform_sphere(n, rng) for _ in range(3)])
+        (val, g), (rval, rg) = got(Q), ref(Q)
+        assert np.all(np.abs(val - rval) <= 1e-13 * np.abs(rval))
+        assert np.all(np.linalg.norm(g - rg, axis=1) <= 1e-13 * np.linalg.norm(rg, axis=1))
+        assert got(Q, value=False)[0] is None and np.array_equal(got(Q, value=False)[1], g)
+        blk = got(Q[[0, 1, 2, 0]].reshape(2, 2, n))  # a (..., n) block keeps its leading shape
+        assert blk[0].shape == (2, 2) and np.array_equal(blk[1].reshape(4, n), g[[0, 1, 2, 0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    p=st.integers(1, 8000),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=20, p=3 * (_PANEL_BYTES // 160) + 7, rows=3, seed=1)  # across three panel edges
+def test_dl_block_rows_match_one_row_calls(n, p, rows, seed):
+    rng = np.random.default_rng(seed)
+    oracle = dl_objective(rng.standard_normal((n, p)), 0.01)
+    Q = np.array([sample_uniform_sphere(n, rng) for _ in range(rows)])
+    val, G = oracle(Q)
+    for k in range(rows):
+        v1, g1 = oracle(Q[k])
+        assert val[k].tobytes() == v1.tobytes() and G[k].tobytes() == g1.tobytes()
+        assert oracle(Q[k : k + 1], value=False)[1][0].tobytes() == g1.tobytes()
+
+
+def test_dl_oracle_keeps_no_copy_of_the_data():
+    n, p = 20, 20_000
+    rng = np.random.default_rng(0)
+    Y, q = rng.standard_normal((n, p)), sample_uniform_sphere(n, rng)
+    dl_objective(Y[:, :10], 0.01)(q[None], value=False)  # the first call may import modules
+    tracemalloc.start()
+    try:
+        dl_objective(Y, 0.01)(q[None], value=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * n * p * 8
 
 
 def test_dl_gradient_fd():

@@ -13,7 +13,7 @@ from spheregd.datagen import GATE_RUN, MC_BLOCK_BYTES, gen_bg_matrix, gen_instan
 from spheregd import landscape
 from spheregd.landscape import _section_rows, volume_curve
 from spheregd.objectives import _sech2, dl_pop_projected_grad_estimate
-from spheregd.sphere import chart_to_sphere, in_section
+from spheregd.sphere import chart_to_sphere, in_section, scale_to_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +39,12 @@ def _gen_bg_matrix_ref(n, p, theta, rng):
     return gauss * (rng.random((n, p)) < theta)
 
 
-def _projected_estimate_ref(w, i, mu, theta, num_samples, rng):
+def _projected_blocks_ref(w, i, mu, theta, num_samples, rng):
+    """The conditioned estimator's values, one array per 200000-row block."""
     q = chart_to_sphere(w)
     n, qn, wi = q.size, q[-1], abs(float(w[i]))
     qo = q[[j for j in range(n) if j != i and j != n - 1]]
     pref = wi * theta * (1.0 - theta) / mu
-    total = total_sq = 0.0
     done = 0
     while done < num_samples:
         m = min(200_000, num_samples - done)
@@ -52,15 +52,22 @@ def _projected_estimate_ref(w, i, mu, theta, num_samples, rng):
         X = (V * (rng.random((m, qo.size)) < theta)) @ qo
         vi = rng.standard_normal(m)
         vn = rng.standard_normal(m)
-        vals = pref * (_sech2((X + wi * vi) / mu) - _sech2((X + qn * vn) / mu))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        yield pref * (_sech2((X + wi * vi) / mu) - _sech2((X + qn * vn) / mu))
         done += m
-    mean = total / num_samples
-    if num_samples == 1:
-        return mean, 0.0
-    var = max(0.0, (total_sq / num_samples - mean * mean)) * num_samples / (num_samples - 1)
-    return mean, float(np.sqrt(var / num_samples))
+
+
+def _projected_estimate_ref(w, i, mu, theta, num_samples, rng):
+    total = m2 = 0.0
+    done = 0
+    for vals in _projected_blocks_ref(w, i, mu, theta, num_samples, rng):
+        m = vals.size
+        s = float(vals.sum())
+        dev = vals - s / m
+        delta = s / m - total / max(done, 1)
+        m2 += float(dev @ dev) + delta * delta * done * m / (done + m)
+        total += s
+        done += m
+    return total / num_samples, float(np.sqrt(m2 / max(num_samples - 1, 1) / num_samples))
 
 
 def _same_bits(a, b):
@@ -112,6 +119,19 @@ def test_population_estimates_match_whole_blocks(n):
     for N in sorted({1, GATE_RUN // gated, GATE_RUN // gated + 1, 200_001}):
         got = dl_pop_projected_grad_estimate(w, 0, mu, theta, N, np.random.default_rng(N))
         assert _same_bits(got, _projected_estimate_ref(w, 0, mu, theta, N, np.random.default_rng(N)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_population_stderr_matches_a_two_pass_reference(n):
+    # the per-block (mean, M2) merge against one pass for the mean and one for
+    # the squared deviations, over the same draws spread across three blocks
+    w = scale_to_zeta(np.random.default_rng(n).standard_normal(n - 1), 0.5)
+    N, mu, theta = 450_001, 0.01, 0.25
+    mean, se = dl_pop_projected_grad_estimate(w, 0, mu, theta, N, np.random.default_rng(7))
+    vals = np.concatenate(list(_projected_blocks_ref(w, 0, mu, theta, N, np.random.default_rng(7))))
+    assert vals.size == N and mean == sum(float(v.sum()) for v in np.split(vals, [200_000, 400_000])) / N
+    ref = np.sqrt(np.sum((vals - vals.mean()) ** 2) / (N - 1) / N)
+    assert se > 0.0 and abs(se - ref) <= 1e-12 * ref
 
 
 def test_no_draw_thread_outlives_volume_curve(monkeypatch):
