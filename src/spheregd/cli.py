@@ -19,6 +19,7 @@ objective), 3 gate failure under --check.
 import argparse
 import collections
 import concurrent.futures
+import functools
 import hashlib
 import math
 import os
@@ -510,6 +511,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"spheregd: error: {message} (see {self.prog} --help)\n")
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser():
     parser = _Parser(prog="spheregd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

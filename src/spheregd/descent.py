@@ -6,7 +6,9 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere import exp_map
+# the engine steps with geodesic_step, the buffer form of exp_map; exp_map stays
+# importable here because perfbench/tracer.py hooks spheregd.descent.exp_map
+from .sphere import exp_map, geodesic_step  # noqa: F401
 
 STATUS_BALL = "ball_entered"
 STATUS_GRAD = "grad_tol"
@@ -109,8 +111,10 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     """Iterate q <- exp_q(-eta * grad f(q)) on every row of the (B, n) block q0
     in lockstep, until a stop rule fires for the row.
 
-    objective: callable (Q, value=True) -> (values, Riemannian gradients) on a
-    (B, n) block, one point per row; with value=False the values may be None.
+    objective: callable (Q, value=True, out=None) -> (values, Riemannian
+    gradients) on a (B, n) block, one point per row; with value=False the
+    values may be None, and given out, a (B, n) array, the gradients are
+    written there and out is returned.
     target_basis: optional orthogonal matrix whose signed columns are the
     targets; section statistics and any ball stop are computed in that frame.
     traced: keep every iterate's statistics.  Untraced, each row's trace holds
@@ -125,13 +129,18 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     block when it stops; rows never interact, so each row's trace equals that
     of a one-row block bit for bit.
 
+    A window allocates its arrays once, and the engine allocates nothing per
+    step: step s reads the iterate Qs[s], has the oracle write Gs[s] and the
+    geodesic step write Qs[s + 1], and Qs[w] starts the next window.
+
     Returns one DescentTrace per row.
     """
     Q = np.array(q0, dtype=float, ndmin=2)
     if np.any(np.abs(np.sqrt(np.vecdot(Q, Q)) - 1.0) > START_NORM_TOL):
         raise ValueError("q0 must have unit norm")
-    R = None if target_basis is None else np.asarray(target_basis, dtype=float)
-    ball, tol = cfg.stop_ball, cfg.stop_grad_tol
+    RT = None if target_basis is None else np.asarray(target_basis, dtype=float).T
+    ball, tol, step_scale = cfg.stop_ball, cfg.stop_grad_tol, -cfg.eta
+    multiply, matmul = np.multiply, np.matmul
 
     rows = np.arange(len(Q))  # caller's row index of each row still running
     traces = [None] * len(Q)
@@ -139,17 +148,22 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     t0 = 0  # iteration of the window's first step
     while rows.size:
         w = min(_WINDOW, cfg.max_iters + 1 - t0)
-        Qs, Gs = np.empty((2, w) + Q.shape)  # per step: iterate, gradient
-        As, F = (Qs if R is None else np.empty_like(Qs)), np.empty((w, len(rows)))
+        Qs, Gs, V = np.empty((w + 1,) + Q.shape), np.empty((w,) + Q.shape), np.empty(Q.shape)
+        Qs[0] = Q
+        # frame-rotated iterates, kept as the (n, B) products R.T @ Q.T that fix their bits
+        AsT = None if RT is None else np.empty((w, Q.shape[1], Q.shape[0]))
+        F = np.empty((w, len(rows))) if traced else None
+        geodesic = geodesic_step(Q.shape)
         with np.errstate(invalid="ignore", over="ignore"):  # a stopped row may step on to non-finite values
-            for s in range(w):
-                Qs[s] = Q
-                if R is not None:
-                    As[s] = (R.T @ Q.T).T
-                F[s], Gs[s] = objective(Q, value=traced)  # untraced, the value None reads as NaN, unused
-                Q = exp_map(Q, -cfg.eta * Gs[s])
+            for s, (q, g, q_next) in enumerate(zip(Qs, Gs, Qs[1:])):
+                if RT is not None:
+                    matmul(RT, q.T, out=AsT[s])
+                f = objective(q, value=traced, out=g)[0]
+                if traced:
+                    F[s] = f
+                geodesic(q, multiply(g, step_scale, out=V), q_next)
         gn = np.sqrt(np.vecdot(Gs, Gs))
-        ab = np.sort(np.abs(As), axis=-1)
+        ab = np.sort(np.abs(Qs[:w] if RT is None else AsT.transpose(0, 2, 1)), axis=-1)
         top, second = ab[..., -1], ab[..., -2]
         go = np.isfinite(gn) & (gn > tol)
         if traced:
@@ -176,7 +190,7 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
                 else:
                     iters, cols = np.array([t]), np.array([[val], [gn[s, k]], [top[s, k]], [second[s, k]]])
                 traces[rows[k]] = _trace(iters, cols, status, Qs[s, k].copy())
-        Q, rows = Q[~stopped], rows[~stopped]
+        Q, rows = Qs[w][~stopped], rows[~stopped]
         t0 += w
     return traces
 

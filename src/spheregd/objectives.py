@@ -44,23 +44,40 @@ def log_cosh(t, mu):
 
     The direct form overflows once |t|/mu exceeds ~700; this one never does.
     """
-    a = np.abs(np.asarray(t, dtype=float)) / mu
-    return mu * (a - _LOG2 + np.log1p(np.exp(-2.0 * a)))
+    a = np.divide(np.abs(t), mu, out=np.empty(np.shape(t)))
+    _log_cosh_scaled(a.reshape(-1), mu)  # a 1-D view, so a scalar t works too
+    return a[()]
+
+
+def _log_cosh_scaled(a, mu):
+    """log_cosh from a = |t| / mu, an array of at least one dimension, computed
+    in a's buffer and returned.  Every operation is the direct expression
+    mu * (a - log 2 + log1p(exp(-2 a))) in its order, so the bits are that
+    expression's."""
+    e = np.multiply(a, -2.0)
+    np.log1p(np.exp(e, out=e), out=e)
+    a -= _LOG2
+    a += e
+    a *= mu
+    return a
 
 
 def sep_objective(mu):
-    """Oracle (q, value=True) -> (value, Riemannian gradient) for the separable
-    objective sum_i mu log cosh(q_i / mu).
+    """Oracle (q, value=True, out=None) -> (value, Riemannian gradient) for the
+    separable objective sum_i mu log cosh(q_i / mu).
 
     q may be a point or a (..., n) block of points, one per row; each row gets
     the bits of its own 1-D call.  With value=False the value is not computed
-    and None stands in its place.
+    and None stands in its place.  The gradient is written into out, an array
+    of q's shape, when one is given.  g = q / mu is computed once: the value
+    reads |g|, which equals |q| / mu bit for bit, before tanh overwrites g.
     """
     check_mu(mu)
 
-    def oracle(q, value=True):
-        val = np.sum(log_cosh(q, mu), axis=-1) if value else None
-        return val, tangent_project(q, np.tanh(q / mu))
+    def oracle(q, value=True, out=None):
+        g = np.divide(q, mu, out=out)
+        val = np.add.reduce(_log_cosh_scaled(np.abs(g), mu), -1) if value else None
+        return val, tangent_project(q, np.tanh(g, out=g), out=g)
 
     return oracle
 
@@ -81,12 +98,16 @@ def sep_projected_grad(w, i, mu):
 
 
 def dl_objective(Y, mu):
-    """Oracle (q, value=True) -> (value, Riemannian gradient) for the data
-    objective: the average of mu log cosh(q'y_k / mu) over the columns y_k of Y.
+    """Oracle (q, value=True, out=None) -> (value, Riemannian gradient) for the
+    data objective: the average of mu log cosh(q'y_k / mu) over the columns y_k
+    of Y.
 
     Takes a point or a (..., n) block like sep_objective, one row at a time, so
-    each row gets the bits of its own 1-D call.  Y is kept, not copied, and read
-    once per point in column panels P of _PANEL_BYTES: c = q'P, then P tanh(c/mu).
+    each row gets the bits of its own 1-D call; the gradient is written into
+    out, a C-contiguous array of q's shape, when one is given.  Y is kept, not
+    copied, and read once per point in column panels P of _PANEL_BYTES:
+    t = q'P / mu, then P tanh(t).  A value, when asked for, is the mean of
+    log_cosh over the row's |t|, gathered in one (p,) buffer.
     """
     check_mu(mu)
     Y = np.asarray(Y, dtype=float)
@@ -98,18 +119,24 @@ def dl_objective(Y, mu):
     cols = max(1, _PANEL_BYTES // (8 * n))
     panels = [(a, Y[:, a : a + cols]) for a in range(0, p, cols)]
 
-    def oracle(q, value=True):
+    def oracle(q, value=True, out=None):
         if q.shape[-1:] != (n,):
             raise ValueError(f"point of shape {q.shape} does not match data matrix of shape {Y.shape}")
-        Q = q.reshape(-1, n)
-        G, C = np.zeros(Q.shape), (np.empty((len(Q), p)) if value else [None] * len(Q))
-        for qk, g, c in zip(Q, G, C):
+        G = np.empty(q.shape) if out is None else out
+        G.fill(0.0)
+        val = np.empty(q.shape[:-1]) if value else None
+        T, c = np.empty(min(cols, p)), (np.empty(p) if value else None)
+        for k, (qk, g) in enumerate(zip(q.reshape(-1, n), G.reshape(-1, n, copy=False))):
             for a, P in panels:
-                t = (qk @ P if c is None else np.matmul(qk, P, out=c[a : a + P.shape[1]])) / mu
+                t = np.matmul(qk, P, out=T[: P.shape[1]])
+                t /= mu
+                if value:
+                    np.abs(t, out=c[a : a + P.shape[1]])
                 g += P @ np.tanh(t, out=t)
+            if value:
+                val.flat[k] = np.add.reduce(_log_cosh_scaled(c, mu)) / p  # the bits of np.mean
         G /= p
-        val = np.mean(log_cosh(C, mu), axis=-1).reshape(q.shape[:-1])[()] if value else None
-        return val, tangent_project(q, G.reshape(q.shape))
+        return (val[()] if value else None), tangent_project(q, G, out=G)
 
     return oracle
 

@@ -28,12 +28,10 @@ def chart_to_sphere(w):
     return np.concatenate([w, [np.sqrt(1.0 - ss)]])
 
 
-def tangent_project(q, g):
+def tangent_project(q, g, out=None):
     """Project g onto the tangent space at q: g - <q, g> q, row by row along
-    the last axis (each row bit for bit as its own 1-D call)."""
-    q = np.asarray(q, dtype=float)
-    g = np.asarray(g, dtype=float)
-    return g - np.vecdot(q, g)[..., None] * q
+    the last axis (each row bit for bit as its own 1-D call).  out may be g."""
+    return np.subtract(g, np.vecdot(q, g)[..., None] * q, out=out)
 
 
 def exp_map(q, v):
@@ -45,16 +43,42 @@ def exp_map(q, v):
     own 1-D call.  A row with v = 0 returns q unchanged.
     """
     q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nv = np.sqrt(np.vecdot(v, v))
-    if np.count_nonzero(nv) < nv.size:
-        out = q.copy()
-        moving = nv != 0.0
-        out[moving] = exp_map(q[moving], v[moving])
+    v = np.array(v, dtype=float)  # a copy: the step overwrites it
+    return geodesic_step(v.shape)(q, v, np.empty(np.broadcast_shapes(q.shape, v.shape)))
+
+
+def geodesic_step(shape):
+    """The buffer form of exp_map for blocks of the given shape: returns
+    step(q, v, out), which writes exp_map(q, v) into out and returns it.
+
+    step overwrites v, and out must be distinct from q and v.  It keeps three
+    (..., 1) columns for ||v||, cos and sin, so repeated calls allocate
+    nothing.  The ufuncs are bound once, since a descent step on a small block
+    costs about as much as the Python calls that make it.
+    """
+    nv, c, sn = np.empty((3,) + shape[:-1] + (1,))
+    nv_rows, c_rows = nv[..., 0], c[..., 0]
+    vecdot, sqrt, cos, sin = np.vecdot, np.sqrt, np.cos, np.sin
+    multiply, divide, add, copyto, count_nonzero = np.multiply, np.divide, np.add, np.copyto, np.count_nonzero
+    rows = nv.size
+
+    def step(q, v, out):
+        vecdot(v, v, out=nv_rows)
+        sqrt(nv, out=nv)
+        sin(nv, out=sn)
+        moving = count_nonzero(nv) == rows
+        if moving:
+            divide(sn, nv, out=sn)
+        else:  # a row with v = 0 divides nothing and gets q back below
+            divide(sn, nv, out=sn, where=nv != 0.0)
+        add(multiply(cos(nv, out=c), q, out=out), multiply(sn, v, out=v), out=out)
+        vecdot(out, out, out=c_rows)
+        divide(out, sqrt(c, out=c), out=out)
+        if not moving:
+            copyto(out, q, where=nv == 0.0)
         return out
-    nv = nv[..., None]
-    out = np.cos(nv) * q + (np.sin(nv) / nv) * v
-    return out / np.sqrt(np.vecdot(out, out))[..., None]
+
+    return step
 
 
 def in_section(qn, winf, zeta0):

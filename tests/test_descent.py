@@ -58,9 +58,9 @@ def test_trace_shape_invariants_and_unit_norm():
     inner = sep_objective(mu)
     norm_devs = []
 
-    def oracle(q, value=True):  # sees every iterate the loop visits, as a one-row block
+    def oracle(q, value=True, out=None):  # sees every iterate the loop visits, as a one-row block
         norm_devs.append(abs(np.linalg.norm(q) - 1.0))
-        return inner(q, value)
+        return inner(q, value, out)
 
     q0 = sample_uniform_sphere(n, np.random.default_rng(7))
     cfg = DescentConfig(eta=0.002, max_iters=500)
@@ -73,8 +73,10 @@ def test_trace_shape_invariants_and_unit_norm():
 
 
 def test_nan_abort():
-    def bad(q, value=True):
-        return np.full(len(q), np.nan), np.zeros(q.shape)
+    def bad(q, value=True, out=None):
+        g = np.empty(q.shape) if out is None else out
+        g.fill(0.0)
+        return np.full(len(q), np.nan), g
 
     q0 = np.eye(4)[0]
     tr = riemannian_gd(bad, q0, DescentConfig(eta=0.1, max_iters=10))
@@ -96,10 +98,11 @@ def test_block_rows_match_one_row_runs():
     n, mu = 6, 0.03
     inner = sep_objective(mu)
 
-    def oracle(q, value=True):
-        f, g = inner(q, value)
+    def oracle(q, value=True, out=None):
+        f, g = inner(q, value, out)
         bad = np.abs(q[..., 0]) > 0.95
-        return (None if f is None else np.where(bad, np.nan, f)), np.where(bad[..., None], np.nan, g)
+        np.copyto(g, np.nan, where=bad[..., None])
+        return (None if f is None else np.where(bad, np.nan, f)), g
 
     rng = np.random.default_rng(4)
     q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(12)] + [np.eye(n)[-1]])
@@ -167,12 +170,13 @@ def test_window_matches_step_by_step_engine(max_iters, traced):
     n, mu = 6, 0.03
     inner = sep_objective(mu)
 
-    def oracle(q, value=True):
-        f, g = inner(q, value)
+    def oracle(q, value=True, out=None):
+        f, g = inner(q, value, out)
         bad = np.abs(q[..., 0]) > 0.95
         if f is not None:
             f = np.where(bad | (np.abs(q[..., 1]) > 0.95), np.nan, f)
-        return f, np.where(bad[..., None], np.nan, g)
+        np.copyto(g, np.nan, where=bad[..., None])
+        return f, g
 
     rng = np.random.default_rng(4)
     near = [chart_to_sphere(np.full(n - 1, r)) for r in (0.05, 0.15, 0.3)]
@@ -210,9 +214,10 @@ def test_non_finite_gradient_aborts_at_its_iteration_without_warnings(bad, trace
     n, mu = 6, 0.03
     inner = sep_objective(mu)
 
-    def oracle(q, value=True):
-        f, g = inner(q, value)
-        return f, np.where(np.max(np.abs(q), axis=-1, keepdims=True) > 0.9, bad, g)
+    def oracle(q, value=True, out=None):
+        f, g = inner(q, value, out)
+        np.copyto(g, bad, where=np.max(np.abs(q), axis=-1, keepdims=True) > 0.9)
+        return f, g
 
     rng = np.random.default_rng(3)
     q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(8)])

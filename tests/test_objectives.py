@@ -226,6 +226,36 @@ def test_dl_block_rows_match_one_row_calls(n, p, rows, seed):
         assert oracle(Q[k : k + 1], value=False)[1][0].tobytes() == g1.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    p=st.integers(1, 8000),
+    rows=st.integers(1, 4),
+    mu=st.sampled_from((0.005, 0.01, 0.05)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=20, p=3 * (_PANEL_BYTES // 160) + 7, rows=2, mu=0.01, seed=1)  # across three panel edges
+def test_oracle_values_are_log_cosh_bit_for_bit(n, p, rows, mu, seed):
+    # the oracles take the value from the |t| / mu they also feed to tanh, and
+    # write the gradient into out when one is given
+    rng = np.random.default_rng(seed)
+    Q = np.array([sample_uniform_sphere(n, rng) for _ in range(rows)])
+    Y = rng.standard_normal((n, p))
+    sep, dl = sep_objective(mu), dl_objective(Y, mu)
+    a = np.abs(Q) / mu  # log_cosh keeps the bits of its direct expression
+    assert log_cosh(Q, mu).tobytes() == (mu * (a - np.log(2.0) + np.log1p(np.exp(-2.0 * a)))).tobytes()
+    assert sep(Q)[0].tobytes() == np.sum(log_cosh(Q, mu), -1).tobytes()
+    val = dl(Q)[0]
+    for k in range(rows):
+        assert val[k].tobytes() == np.mean(log_cosh(Q[k] @ Y, mu)).tobytes()
+    for oracle in (sep, dl):
+        for value in (True, False):
+            ref, out = oracle(Q, value), np.full(Q.shape, np.nan)
+            got = oracle(Q, value, out=out)
+            assert got[1] is out and out.tobytes() == ref[1].tobytes()
+            assert got[0].tobytes() == ref[0].tobytes() if value else got[0] is None
+
+
 def test_dl_oracle_keeps_no_copy_of_the_data():
     n, p = 20, 20_000
     rng = np.random.default_rng(0)

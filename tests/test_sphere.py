@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from spheregd.sphere import (
     chart_to_sphere,
     exp_map,
+    geodesic_step,
     in_section,
     sample_uniform_sphere,
     scale_to_zeta,
@@ -96,6 +97,47 @@ def test_exp_map_block_matches_rows():
             ref = np.cos(nv) * q + (np.sin(nv) / nv) * v
             assert one.tobytes() == (ref / np.linalg.norm(ref)).tobytes()
     assert out[4].tobytes() == Q[4].tobytes()
+
+
+def _exp_map_rows(Q, V):
+    """The geodesic step written out one row at a time: q where v = 0, else
+    cos(|v|) q + (sin(|v|) / |v|) v, renormalized."""
+    out = Q.copy()
+    for k, (q, v) in enumerate(zip(Q, V)):
+        nv = np.sqrt(np.vecdot(v, v))
+        if nv != 0.0:
+            r = np.cos(nv) * q + (np.sin(nv) / nv) * v
+            out[k] = r / np.sqrt(np.vecdot(r, r))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 60), st.integers(0, 2**32 - 1), st.data())
+def test_geodesic_step_buffers_match_exp_map(b, n, seed, data):
+    # the engine's form: one step object per block shape, called again and
+    # again with v in a scratch buffer it overwrites and out given
+    kinds = data.draw(st.lists(st.sampled_from(("step", "zero", "long", "nan", "inf")), min_size=b, max_size=b))
+    rng = np.random.default_rng(seed)
+    step, out = geodesic_step((b, n)), np.empty((b, n))
+    for _ in range(2):  # the second call must not see the first one's columns
+        Q = rng.standard_normal((b, n))
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+        V = tangent_project(Q, rng.standard_normal((b, n))) * rng.uniform(0.0, 0.2, (b, 1))
+        for k, kind in enumerate(kinds):
+            if kind == "zero":
+                V[k] = 0.0
+            elif kind == "long":
+                V[k] *= 100.0
+            elif kind != "step":
+                V[k, rng.integers(n)] = np.nan if kind == "nan" else np.inf
+        Q0, V0 = Q.copy(), V.copy()
+        with np.errstate(invalid="ignore"):
+            ref, rows = exp_map(Q, V), _exp_map_rows(Q, V)
+            got = step(Q, V.copy(), out)
+        assert got is out
+        assert got.tobytes() == ref.tobytes() == rows.tobytes()
+        assert Q.tobytes() == Q0.tobytes() and V.tobytes() == V0.tobytes()
+        rng.shuffle(kinds)
 
 
 def test_exp_map_unit_norm():
