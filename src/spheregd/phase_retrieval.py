@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descent import _WINDOW
+
 
 @dataclass(frozen=True, eq=False)
 class PRDecomposition:
@@ -71,10 +73,10 @@ def _row_norms(W):
     return np.sqrt(np.vecdot(W.real, W.real) + np.vecdot(W.imag, W.imag))
 
 
-def _step(Z, z2, ip, x, x2, eta):
+def _step(Z, z2, ip, x, x2, eta, out=None):
     """One descent step z - eta ((2||z||^2 - ||x||^2) z - (x^H z) x) of each
     point along Z's last axis, given its ||z||^2 and x^H z."""
-    return Z - eta * ((2.0 * z2 - x2)[..., None] * Z - ip[..., None] * x)
+    return np.subtract(Z, eta * ((2.0 * z2 - x2)[..., None] * Z - ip[..., None] * x), out=out)
 
 
 def _dist(z2, zeta, x2, xn):
@@ -89,10 +91,14 @@ def pr_decompose(z, x):
     return PRDecomposition(w=w, zeta=float(zeta), phi=float(phi))
 
 
+def _check_c(c):
+    if not 0.0 < c < 0.25:  # also rejects NaN
+        raise ValueError("need 0 < c < 1/4")
+
+
 def max_step_size(x, c):
     """Largest admissible step size sqrt(c) / (4 ||x||^2)."""
-    if not (0.0 < c < 0.25):
-        raise ValueError("need 0 < c < 1/4")
+    _check_c(c)
     return math.sqrt(c) / (4.0 * _signal(x)[1])
 
 
@@ -115,8 +121,9 @@ def iteration_budget(x, eta, c, zeta_init):
     from margin zeta_init: a geometric escape out of the low-margin band, a
     crossing of the middle shell, and a contraction of ||w|| with re-entry
     slack."""
-    if not (eta > 0.0 and zeta_init > 0.0):
-        raise ValueError("eta and zeta_init must be positive")
+    if not (0.0 < eta < math.inf and 0.0 < zeta_init < math.inf):
+        raise ValueError("eta and zeta_init must be positive and finite")
+    _check_c(c)
     x2 = _signal(x)[1]
     a = eta * x2
     t1 = max(0.0, math.log(math.sqrt(x2) / (zeta_init * math.sqrt(2.0))) / math.log1p(a))
@@ -139,7 +146,7 @@ class PRTrajectory:
 
 def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     """Run descent from every row of the (B, n) block Z0 in lockstep, checking
-    the exact scalar recurrences each step.
+    the exact scalar recurrences once per window of _WINDOW steps.
 
     Row k stops once dist(z, solutions) < sqrt(5c)||x|| (unless
     stop_at_target is off, for fixed-length identity probes), after
@@ -148,9 +155,14 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     scale by known factors of ||z||^2) are verified against the recomputed
     decomposition; the comparison floor 1e-6 ||x|| keeps the orthogonal
     component out of pure cancellation noise once it has decayed to a scale
-    the decomposition cannot resolve.  A row leaves the block when it stops;
-    rows never interact, so each row's run equals that of a one-row block
-    bit for bit.
+    the decomposition cannot resolve.
+
+    Inside a window step s only reads the iterate Zs[s] and writes Zs[s + 1];
+    the decomposition, the stop rules and the recurrence checks then run once
+    over the window's iterates.  A row stops at its first iterate where a rule
+    fires, its steps past it are discarded, and no step raises a
+    floating-point warning.  A row leaves the block when it stops; rows never
+    interact, so each row's run equals that of a one-row block bit for bit.
 
     Returns one PRTrajectory per row.
     """
@@ -158,39 +170,48 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     x, x2 = _signal(x)
     if x.shape != Z.shape[1:]:
         raise ValueError("z and x must have the same length")
-    budgets = np.asarray(budgets, dtype=int)
-    if not eta > 0.0 or budgets.shape != Z.shape[:1] or np.any(budgets < 0):
-        raise ValueError("need eta > 0 and one iteration budget >= 0 per start")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    _check_c(c)
+    b = np.asarray(budgets)
+    whole = b.dtype.kind in "iuf" and np.all(np.isfinite(b) & (b == np.trunc(b)) & (b >= 0))
+    if b.shape != Z.shape[:1] or not whole:
+        raise ValueError("need one whole iteration budget >= 0 per start")
+    budgets = b.astype(int)
     xn = math.sqrt(x2)
     target = math.sqrt(5.0 * c) * xn
-    ip, zeta, _, W = _decompose_rows(Z, x, xn)
-    wn = _row_norms(W)
     stats = np.zeros((2, len(Z)))  # per running row: worst zeta and ||w|| deviations
     converged = np.zeros(len(Z), dtype=bool)
     rows = np.arange(len(Z))  # caller's row index of each row still running
     runs = [None] * len(Z)
-    for t in range(int(budgets.max(initial=0)) + 1):
-        z2 = np.vecdot(Z, Z).real
-        dist = _dist(z2, zeta, x2, xn)
-        converged |= dist < target
-        go = np.isfinite(z2) & (budgets[rows] > t)
-        if stop_at_target:
-            go &= ~converged
-        if not go.all():
-            for k in np.flatnonzero(~go):
-                end = Z[k].copy(), float(dist[k]), float(zeta[k])  # final z, distance and zeta
-                runs[rows[k]] = PRTrajectory(t, bool(converged[k]), *end, *stats[:, k].tolist())
-            Z, ip, zeta, wn, z2, converged, rows = (a[go] for a in (Z, ip, zeta, wn, z2, converged, rows))
-            stats = stats[:, go]
-            if not rows.size:
-                break
-        pred_zeta = (1.0 - 2.0 * eta * (z2 - x2)) * zeta
-        pred_wn = (1.0 - eta * (2.0 * z2 - x2)) * wn
-        Z = _step(Z, z2, ip, x, x2, eta)
-        ip, zeta, _, W = _decompose_rows(Z, x, xn)
-        wn = _row_norms(W)
-        stats[0] = np.fmax(stats[0], np.abs(zeta - pred_zeta) / np.maximum(np.abs(pred_zeta), 1e-6 * xn))
-        stats[1] = np.fmax(stats[1], np.abs(wn - pred_wn) / np.maximum(np.abs(pred_wn), 1e-6 * xn))
+    t0 = 0  # iteration of the window's first iterate
+    with np.errstate(invalid="ignore", over="ignore"):  # a row may step on to non-finite values
+        while rows.size:
+            w = min(_WINDOW, int(budgets[rows].max()) + 1 - t0)
+            Zs, z2 = np.empty((w + 1,) + Z.shape, dtype=complex), np.empty((w, len(Z)))
+            Zs[0] = Z
+            for s in range(w):
+                z2[s] = np.vecdot(Zs[s], Zs[s]).real
+                _step(Zs[s], z2[s], np.vecdot(x, Zs[s]), x, x2, eta, out=Zs[s + 1])
+            _, zeta, _, W = _decompose_rows(Zs, x, xn)
+            wn = _row_norms(W)
+            dist = _dist(z2, zeta[:w], x2, xn)
+            conv = converged | np.logical_or.accumulate(dist < target, axis=0)
+            go = np.isfinite(z2) & (budgets[rows] > np.arange(t0, t0 + w)[:, None])
+            if stop_at_target:
+                go &= ~conv
+            at, stopped = np.argmin(go, axis=0), ~go.all(axis=0)  # each row's first stop in the window
+            zw = np.stack([zeta, wn])  # the recurrences predict zw[:, s + 1] from zw[:, s] and z2[s]
+            pred = np.stack([1.0 - 2.0 * eta * (z2 - x2), 1.0 - eta * (2.0 * z2 - x2)]) * zw[:, :w]
+            dev = np.abs(zw[:, 1:] - pred) / np.maximum(np.abs(pred), 1e-6 * xn)
+            stepped = np.arange(w)[:, None] < np.where(stopped, at, w)
+            stats = np.fmax(stats, np.fmax.reduce(dev, axis=1, where=stepped, initial=-np.inf))
+            for k in np.flatnonzero(stopped).tolist():
+                s = int(at[k])
+                end = Zs[s, k].copy(), float(dist[s, k]), float(zeta[s, k])  # final z, distance and zeta
+                runs[rows[k]] = PRTrajectory(t0 + s, bool(conv[s, k]), *end, *stats[:, k].tolist())
+            Z, converged, rows, stats = Zs[w][~stopped], conv[-1][~stopped], rows[~stopped], stats[:, ~stopped]
+            t0 += w
     return runs
 
 

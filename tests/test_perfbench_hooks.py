@@ -13,6 +13,7 @@ _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 SEP_CFG = "problem = separable\nn = 5\nnum_seeds = 3\nseed_base = 2\nmax_iters = 4000\n"
 DL_CFG = "problem = dictionary\nn = 5\np = 300\ntheta = 0.25\nmu = 0.01\neta = 0.01\nnum_seeds = 2\nseed_base = 4\nmax_iters = 4000\n"
+PR_CFG = "problem = phase_retrieval\nn = 8\nnum_seeds = 20\nseed_base = 6\nmax_iters = 1000000\nzeta0 = 0.025\n"
 
 
 def _load_tracer():
@@ -22,7 +23,7 @@ def _load_tracer():
     return module
 
 
-def test_every_tracer_hook_resolves_and_unpatch_restores_it(tmp_path):
+def test_every_tracer_hook_resolves_and_unpatch_restores_it(tmp_path, capsys):
     tr = _load_tracer()
 
     class CountingTracer(tr.Tracer):
@@ -40,15 +41,24 @@ def test_every_tracer_hook_resolves_and_unpatch_restores_it(tmp_path):
         assert tracer.absent == set()
         assert len(patched) == tracer.hooks
         assert all(getattr(mod, attr) is not orig for mod, attr, orig in patched)
-        # a traced batch of each sphere problem: every per-layer metric is a number
-        for command, text in (("run-sep", SEP_CFG), ("run-dl", DL_CFG)):
+        # a traced batch of each problem and the identity probe: every per-layer
+        # metric is a number, and stdout, where perfbench prints its result
+        # line, holds only the paths the commands wrote
+        for command, text in (("run-sep", SEP_CFG), ("run-dl", DL_CFG), ("run-pr", PR_CFG)):
             cfg = tmp_path / f"{command}.cfg"
             cfg.write_text(text)
-            argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), "--jobs", "1", "--save-traces"]
-            assert cli.main(argv) == cli.EXIT_OK
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / command), "--jobs", "1"]
+            assert cli.main(argv + ["--save-traces"] * (command != "run-pr")) == cli.EXIT_OK
+        argv = ["probe-pr-identities", "--n", "4", "--steps", "100", "--out", str(tmp_path / "probe")]
+        assert cli.main(argv) == cli.EXIT_OK
         metrics = tr.layer_metrics(tracer)
         assert tracer.absent == set()
         assert {k: v for k, (v, _) in metrics.items() if not (isinstance(v, (int, float)) and math.isfinite(v))} == {}
+        assert metrics["phase_retrieval.pr_descend.calls"][0] == 1
+        assert metrics["phase_retrieval.pr_descend.iterations"][0] == 100
+        assert metrics["phase_retrieval.accept_ratio"][0] > 0.0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all(Path(line).is_file() for line in lines)
     finally:
         tracer.unpatch()
     assert all(getattr(mod, attr) is orig for mod, attr, orig in patched)

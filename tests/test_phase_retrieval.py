@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spheregd.descent import _WINDOW
 from spheregd.phase_retrieval import (
     _decompose_rows,
     iteration_budget,
@@ -288,11 +290,12 @@ def test_zero_signal_is_rejected(call):
         call(np.zeros(3, complex))
 
 
-@pytest.mark.parametrize("eta", [0.0, -0.001])
+@pytest.mark.parametrize("eta", [0.0, -0.001, math.inf, math.nan])
 @pytest.mark.parametrize(
     "call",
     [
         pytest.param(lambda x, eta: iteration_budget(x, eta, 1.0 / 35.0, 0.05), id="iteration_budget"),
+        pytest.param(lambda x, eta: pr_descend(_Z, x, eta, 0.1, 5), id="pr_descend"),
         pytest.param(lambda x, eta: pr_descend_block([_Z, _Z], x, eta, 0.1, [5, 5]), id="pr_descend_block"),
         pytest.param(
             lambda x, eta: pr_experiment(3, x, eta, 0.1, 0.05, [np.random.default_rng(0)]), id="pr_experiment"
@@ -306,6 +309,40 @@ def test_zero_signal_is_rejected(call):
 def test_non_positive_eta_is_rejected(call, eta):
     with pytest.raises(ValueError, match="eta"):
         call(np.array([1.0, 0.0, 0.0], complex), eta)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.1, 0.25, 0.3, 0.5, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x, c: max_step_size(x, c), id="max_step_size"),
+        pytest.param(lambda x, c: iteration_budget(x, 0.01, c, 0.05), id="iteration_budget"),
+        pytest.param(lambda x, c: pr_descend(_Z, x, 0.01, c, 5), id="pr_descend"),
+        pytest.param(lambda x, c: pr_descend_block([_Z, _Z], x, 0.01, c, [5, 5]), id="pr_descend_block"),
+        pytest.param(lambda x, c: pr_experiment(3, x, 0.01, c, 0.05, [np.random.default_rng(0)]), id="pr_experiment"),
+    ],
+)
+def test_c_outside_a_quarter_is_rejected(call, c):
+    with pytest.raises(ValueError, match=r"need 0 < c < 1/4"):
+        call(np.array([1.0, 0.0, 0.0], complex), c)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, 2.7), id="pr_descend-fraction"),
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, math.inf), id="pr_descend-inf"),
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, math.nan), id="pr_descend-nan"),
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, -1), id="pr_descend-negative"),
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, "5"), id="pr_descend-text"),
+        pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5, 2.7]), id="pr_descend_block-fraction"),
+        pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5, math.inf]), id="pr_descend_block-inf"),
+        pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5]), id="pr_descend_block-one-for-two"),
+    ],
+)
+def test_bad_budget_is_rejected(call):
+    with pytest.raises(ValueError, match="whole iteration budget"):
+        call(np.array([1.0, 0.0, 0.0], complex))
 
 
 @st.composite
@@ -389,7 +426,9 @@ def test_block_rows_match_one_row_runs(n, signal):
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w -= np.vdot(x, w) * x  # x has unit norm
     starts.append(0.5 * w / np.linalg.norm(w))  # margin ~ 0
-    budgets = [(2, 8, 25, 60, 120, 200)[k % 6] for k in range(len(starts))]
+    # budgets at the edges of a window, where a row's last check falls on its first or last iterate
+    edges = (2, 8, 25, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 3, 60, 120, 200)
+    budgets = [edges[k % len(edges)] for k in range(len(starts))]
     for stop_at_target in (True, False):
         runs = pr_descend_block(np.array(starts), x, eta, c, budgets, stop_at_target)
         for z0, budget, run in zip(starts, budgets, runs):
@@ -408,6 +447,65 @@ def test_block_rows_match_one_row_runs(n, signal):
             assert any(not r.converged and r.iterations == b for r, b in zip(runs, budgets))
         else:
             assert [r.iterations for r in runs] == budgets
+
+
+def _run_fields(run):
+    return _bits(getattr(run, f.name) for f in fields(run))
+
+
+def test_rows_reach_the_target_at_every_offset_of_a_window():
+    # start row j at iterate j of one slow run: it reaches the target j
+    # iterations earlier, so the rows of one block stop at every offset inside a window
+    n, c = 6, 1.0 / 35.0
+    x = np.eye(n, dtype=complex)[0]
+    eta = 0.95 * max_step_size(x, c)
+    z0 = 0.5 * np.exp(0.3j) * np.eye(n, dtype=complex)[1] + 1e-3 * x  # margin 1e-3: a slow escape
+    hit = pr_descend(z0, x, eta, c, 10_000)
+    assert hit.converged and hit.iterations > 2 * _WINDOW
+    starts = np.array([pr_descend(z0, x, eta, c, j, stop_at_target=False).final_z for j in range(_WINDOW + 3)])
+    runs = pr_descend_block(starts, x, eta, c, [10_000] * len(starts))
+    assert [r.iterations for r in runs] == [hit.iterations - j for j in range(len(starts))]
+    assert {r.iterations % _WINDOW for r in runs} == set(range(_WINDOW))
+    for z, run in zip(starts, runs):
+        assert _run_fields(run) == _bits(_scalar_descend(z, x, eta, c, 10_000, True)[0])
+
+
+def test_converged_stays_set_in_later_windows():
+    # at 20 times the admissible step a fixed-length row passes in and out of
+    # the target; this one visits it in its first window only, and converged
+    # still reports the visit at the end of the second
+    n, c = 2, 1.0 / 35.0
+    x = np.eye(n, dtype=complex)[0]
+    eta = 20.0 * max_step_size(x, c)
+    z0 = sample_ball(n, 1.0 / math.sqrt(2.0), np.random.default_rng(20))
+    assert pr_descend(z0, x, eta, c, 100).iterations < _WINDOW
+    ends = [pr_descend(z0, x, eta, c, t, stop_at_target=False) for t in (_WINDOW, _WINDOW + 1)]
+    assert all(r.converged and r.final_dist >= math.sqrt(5.0 * c) for r in ends)
+    assert _run_fields(ends[1]) == _bits(_scalar_descend(z0, x, eta, c, _WINDOW + 1, False)[0])
+
+
+def test_row_turning_non_finite_mid_window_leaves_the_others_alone():
+    # a start far outside the shells overflows within a few steps; the rest of
+    # its window is discarded, no floating-point warning escapes, and the other
+    # rows keep their one-row bits
+    n, c = 5, 1.0 / 35.0
+    rng = np.random.default_rng(11)
+    x = _rand_signal(n, rng)
+    eta = 0.95 * max_step_size(x, c)
+    starts = [sample_ball(n, 1.0 / math.sqrt(2.0), rng) for _ in range(4)]
+    starts.insert(2, 1e3 * sample_ball(n, 1.0, rng))
+    budgets = [3 * _WINDOW] * len(starts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = pr_descend_block(np.array(starts), x, eta, c, budgets, stop_at_target=False)
+        alone = [pr_descend(z, x, eta, c, b, stop_at_target=False) for z, b in zip(starts, budgets)]
+    bad = runs.pop(2)
+    assert 0 < bad.iterations < _WINDOW - 1 and not bad.converged and not math.isfinite(bad.final_dist)
+    assert _run_fields(bad) == _run_fields(alone.pop(2))
+    starts.pop(2)
+    for z, run, one in zip(starts, runs, alone):
+        assert run.iterations == 3 * _WINDOW
+        assert _run_fields(run) == _run_fields(one) == _bits(_scalar_descend(z, x, eta, c, 3 * _WINDOW, False)[0])
 
 
 def test_descend_stops_on_non_finite_state():
