@@ -48,8 +48,9 @@ class DescentConfig:
     def __post_init__(self):
         if not 0.0 < self.eta < np.inf:  # also rejects NaN
             raise ValueError("eta must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (1 <= self.max_iters < np.inf and self.max_iters % 1 == 0):  # also rejects NaN
+            raise ValueError("max_iters must be a whole number >= 1")
+        object.__setattr__(self, "max_iters", int(self.max_iters))  # the engine sizes its windows by it
         if not 0.0 <= self.stop_grad_tol < np.inf:
             raise ValueError("stop_grad_tol must be >= 0 and finite")
 

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import MC_BLOCK_BYTES, gen_bg_matrix
-from .objectives import (
-    check_mu,
-    dl_pop_projected_grad_estimate,
-    dl_projected_grad,
-    sep_projected_grad,
-)
-from .sphere import in_section, scale_to_zeta
+from .objectives import dl_objective, dl_pop_projected_grad_estimate, sep_objective
+from .sphere import in_section, outward_direction, scale_to_zeta
 
 ENUMERATION_MAX_N = 12  # 3^n - 1 points; keep the blow-up bounded
 
@@ -148,13 +143,14 @@ def projection_scan(n, mu, zetas, samples_per_zeta, rng):
 
     For each sampled chart point, every coordinate above the slope floor
     mu*log(1/mu) contributes a row (zeta, ||w||_inf, |w_i|, slope, ratio)
-    with ratio = slope / (||w||_inf * zeta).  Returns (rows, fitted_c) where
-    fitted_c is the smallest observed ratio: the empirical linear-in-zeta
+    with ratio = slope / (||w||_inf * zeta); the slope is the separable
+    oracle's gradient along the outward direction.  Returns (rows, fitted_c)
+    where fitted_c is the smallest observed ratio: the empirical linear-in-zeta
     lower envelope coefficient.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    check_mu(mu)
+    oracle = sep_objective(mu)
     if samples_per_zeta < 1:
         raise ValueError("need samples_per_zeta >= 1")
     thr = mu * np.log(1.0 / mu)
@@ -168,12 +164,21 @@ def projection_scan(n, mu, zetas, samples_per_zeta, rng):
             winf = float(np.max(np.abs(w)))
             for i in range(n - 1):
                 if abs(w[i]) >= thr:
-                    val = sep_projected_grad(w, i, mu)
+                    q, u = outward_direction(w, i)
+                    val = float(oracle(q, value=False)[1] @ u)
                     rows.append((float(z), winf, abs(float(w[i])), val, val / (winf * z)))
     if not rows:
         raise ValueError("no coordinate cleared the slope floor; lower mu or raise n")
     fitted_c = min(r[4] for r in rows)
     return rows, fitted_c
+
+
+def dl_projected_grad(w, i, Y, mu):
+    """Finite-sample outward slope at q(w) for data Y: the dictionary oracle's
+    gradient along the outward direction for coordinate i.  fluctuation_probe
+    looks this name up per trial, where perfbench/tracer.py hooks it."""
+    q, u = outward_direction(w, i)
+    return float(dl_objective(Y, mu)(q, value=False)[1] @ u)
 
 
 def fluctuation_probe(w, i, mu, theta, p_list, trials, rng, ref_samples=500_000):

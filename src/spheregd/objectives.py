@@ -12,15 +12,10 @@ import warnings
 import numpy as np
 
 from .datagen import check_theta, gate_in_place
-from .sphere import chart_to_sphere, tangent_project
+from .sphere import outward_direction, tangent_project
 
 _LOG2 = float(np.log(2.0))
 _PANEL_BYTES = 1 << 19  # Y per panel of dl_objective's pass: q'P leaves P in L2 for P tanh(q'P / mu)
-
-
-def _check_mu_value(mu):
-    if not 0.0 < mu < np.inf:
-        raise ValueError("mu must be positive and finite")
 
 
 def check_mu(mu):
@@ -28,15 +23,13 @@ def check_mu(mu):
 
     Errors unless 0 < mu < inf (nan included); warns (does not error) at
     mu >= 1/16, where the positivity guarantee for the outward gradient
-    projection no longer holds.
+    projection no longer holds.  The warning has this one call site, so a
+    probe that builds many objectives warns once under Python's default filter.
     """
-    _check_mu_value(mu)
+    if not 0.0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
     if mu >= 1.0 / 16.0:
-        warnings.warn(
-            f"mu = {mu} >= 1/16: outward-projection positivity is not guaranteed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"mu = {mu} >= 1/16: outward-projection positivity is not guaranteed", RuntimeWarning)
 
 
 def log_cosh(t, mu):
@@ -80,21 +73,6 @@ def sep_objective(mu):
         return val, tangent_project(q, np.tanh(g, out=g), out=g)
 
     return oracle
-
-
-def sep_projected_grad(w, i, mu):
-    """Outward-direction slope of the separable objective at q(w), coordinate i.
-
-    Closed form tanh(|w_i|/mu) - tanh(q_n/mu) |w_i| / q_n; the odd symmetry of
-    tanh folds both signs of w_i into the same expression.  w_i = 0 has no
-    outward direction and raises.
-    """
-    w = np.asarray(w, dtype=float)
-    if w[i] == 0.0:
-        raise ValueError("w_i = 0: coordinate sign undefined")
-    qn = chart_to_sphere(w)[-1]
-    a = abs(float(w[i]))
-    return float(np.tanh(a / mu) - np.tanh(qn / mu) * a / qn)
 
 
 def dl_objective(Y, mu):
@@ -141,24 +119,6 @@ def dl_objective(Y, mu):
     return oracle
 
 
-def dl_projected_grad(w, i, Y, mu):
-    """Finite-sample outward-direction slope at q(w) for data Y:
-    (1/p) sum_k tanh(q'y_k/mu) (sign(w_i) y_{k,i} - |w_i|/q_n y_{k,n}).
-    Leaves the mu >= 1/16 warning to the population estimator: a probe warns once."""
-    _check_mu_value(mu)
-    w = np.asarray(w, dtype=float)
-    if w[i] == 0.0:
-        raise ValueError("w_i = 0: coordinate sign undefined")
-    q = chart_to_sphere(w)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != q.shape[0]:
-        raise ValueError(f"data matrix shape {Y.shape} incompatible with point of length {q.shape[0]}")
-    si = 1.0 if w[i] > 0 else -1.0
-    t = np.tanh(Y.T @ q / mu)
-    proj = si * Y[i, :] - (abs(float(w[i])) / q[-1]) * Y[-1, :]
-    return float(np.mean(t * proj))
-
-
 def _sech2(x):
     """sech(x)^2 = 4 e^{-2|x|} / (1 + e^{-2|x|})^2, overflow-safe."""
     e = np.exp(-2.0 * np.abs(x))
@@ -183,13 +143,10 @@ def dl_pop_projected_grad_estimate(w, i, mu, theta, num_samples, rng):
     check_theta(theta)
     if num_samples < 1:
         raise ValueError("need num_samples >= 1")
-    w = np.asarray(w, dtype=float)
-    if w[i] == 0.0:
-        raise ValueError("w_i = 0: coordinate sign undefined")
-    q = chart_to_sphere(w)
+    q, _ = outward_direction(w, i)
     n = q.size
     qn = q[-1]
-    wi = abs(float(w[i]))
+    wi = abs(float(q[i]))
     keep = [j for j in range(n) if j != i and j != n - 1]
     qo = q[keep]
     pref = wi * theta * (1.0 - theta) / mu

@@ -28,6 +28,21 @@ def chart_to_sphere(w):
     return np.concatenate([w, [np.sqrt(1.0 - ss)]])
 
 
+def outward_direction(w, i):
+    """The lift q = q(w) and the outward direction at it for coordinate i:
+    d = sign(w_i) e_i - (|w_i| / q_n) e_n, tangent since <q, d> = 0.  An
+    objective's outward slope is <grad f(q), d>.  w_i = 0 has no outward
+    direction and raises."""
+    w = np.asarray(w, dtype=float)
+    if w[i] == 0.0:
+        raise ValueError("w_i = 0: coordinate sign undefined")
+    q = chart_to_sphere(w)
+    d = np.zeros(q.size)
+    d[i] = np.sign(w[i])
+    d[-1] = -abs(w[i]) / q[-1]
+    return q, d
+
+
 def tangent_project(q, g, out=None):
     """Project g onto the tangent space at q: g - <q, g> q, row by row along
     the last axis (each row bit for bit as its own 1-D call).  out may be g."""

@@ -2,9 +2,8 @@
 
 The finite-difference gradient here is deliberately independent of the
 library's gradient code paths: it only consumes objective *values* along
-geodesics, so it can certify the analytic gradients.  The chart gradient and
-outward direction are closed forms that the library's slopes are checked
-against.
+geodesics, so it can certify the analytic gradients.  The chart gradient is
+a closed form that the library's slopes are checked against.
 """
 
 import numpy as np
@@ -55,14 +54,3 @@ def sep_chart_grad(w, mu):
     qn = chart_to_sphere(w)[-1]
     return np.tanh(w / mu) - np.tanh(qn / mu) * (w / qn)
 
-
-def u_direction(w, i):
-    """Outward tangent direction e_i sign(w_i) - e_n |w_i|/q_n at q(w), w_i != 0."""
-    w = np.asarray(w, dtype=float)
-    if w[i] == 0.0:
-        raise ValueError("w_i = 0: outward direction undefined")
-    q = chart_to_sphere(w)
-    d = np.zeros(q.size)
-    d[i] = 1.0 if w[i] > 0 else -1.0
-    d[-1] = -abs(float(w[i])) / q[-1]
-    return d

@@ -515,9 +515,12 @@ def test_probe_fluctuation(capsys):
 
 
 def test_probe_fluctuation_warns_once_above_mu_one_sixteenth():
-    # the population reference warns; the finite-sample slopes checked against it do not
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")  # Python's default: once per call site
-        argv = ["probe-fluctuation", "--n", "4", "--mu", "0.07", "--p-list", "10", "--trials", "2"]
-        assert main(argv) == EXIT_OK
-    assert ["positivity is not guaranteed" in str(w.message) for w in caught] == [True]
+    # every objective a probe builds checks mu, and the warning has one call site
+    for argv in (
+        ["probe-fluctuation", "--n", "4", "--mu", "0.07", "--p-list", "10", "--trials", "2"],
+        ["probe-projection", "--n", "4", "--mu", "0.07", "--samples", "2"],
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # Python's default: once per call site
+            assert main(argv) == EXIT_OK
+        assert ["positivity is not guaranteed" in str(w.message) for w in caught] == [True]

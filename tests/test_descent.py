@@ -290,10 +290,14 @@ def test_config_validation():
         lambda: DescentConfig(eta=np.nan, max_iters=10),
         lambda: DescentConfig(eta=np.inf, max_iters=10),
         lambda: DescentConfig(eta=0.1, max_iters=10, stop_grad_tol=np.nan),
+        lambda: DescentConfig(eta=1e-6, max_iters=np.nan),
+        lambda: DescentConfig(eta=1e-6, max_iters=np.inf),
+        lambda: DescentConfig(eta=1e-6, max_iters=2.5),
         lambda: BallStop(norm="linf", radius=np.nan),
         lambda: BallStop(norm="l2", radius=np.inf),
     ],
-    ids=["eta-nan", "eta-inf", "grad-tol-nan", "radius-nan", "radius-inf"],
+    ids=["eta-nan", "eta-inf", "grad-tol-nan", "max-iters-nan", "max-iters-inf", "max-iters-fractional",
+         "radius-nan", "radius-inf"],
 )
 def test_config_rejects_non_finite(make):
     with pytest.raises(ValueError):

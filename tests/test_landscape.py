@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import sep_chart_grad, u_direction
+from conftest import sep_chart_grad
 
 from spheregd.descent import DescentConfig, riemannian_gd_block
 from spheregd.landscape import (
@@ -14,7 +14,7 @@ from spheregd.landscape import (
     volume_estimate,
 )
 from spheregd.objectives import sep_objective
-from spheregd.sphere import chart_to_sphere, exp_map, sample_uniform_sphere, scale_to_zeta
+from spheregd.sphere import chart_to_sphere, exp_map, outward_direction, sample_uniform_sphere, scale_to_zeta
 
 CRITICAL_GRAD_TOL = 1e-10  # Riemannian gradient norm at enumerated critical points
 TIE_TOL = 1e-9  # thickness of "tied max magnitude" in predict_flow_limit
@@ -118,17 +118,20 @@ def test_ties_preserved_under_descent():
 
 def test_u_direction_values():
     w = np.array([0.3, 0.2])
-    u = u_direction(w, 0)
+    q, u = outward_direction(w, 0)
+    assert np.array_equal(q, chart_to_sphere(w))
     assert np.allclose(u, [1.0, 0.0, -0.32163376045133846], atol=1e-15)
-    q = chart_to_sphere(w)
     assert abs(q @ u) <= 1e-15
     # norm identity ||u||^2 = 1 + w_i^2/q_n^2 <= 2 inside the section
     assert np.linalg.norm(u) ** 2 == pytest.approx(1.0 + (0.3 / q[-1]) ** 2, abs=1e-14)
-    um = u_direction(np.array([-0.3, 0.2]), 0)
-    assert um[0] == -1.0
-    assert um[-1] == u[-1]
+    # the sign of w_i sets the e_i entry alone
+    qm, um = outward_direction(np.array([-0.3, 0.2]), 0)
+    assert um[0] == -1.0 and um[1] == 0.0
+    assert um[-1] == u[-1] and qm[-1] == q[-1]
+    _, u1 = outward_direction(np.array([0.3, -0.2]), 1)
+    assert u1[0] == 0.0 and u1[1] == -1.0
     with pytest.raises(ValueError):
-        u_direction(np.array([0.0, 0.2]), 0)
+        outward_direction(np.array([0.0, 0.2]), 0)
 
 
 def test_volume_estimate_symmetric_section():

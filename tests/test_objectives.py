@@ -3,25 +3,52 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fd_riem_grad, sep_chart_grad, u_direction
-from hypothesis import example, given, settings
+from conftest import fd_riem_grad, sep_chart_grad
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spheregd.datagen import gen_bg_matrix
+from spheregd.landscape import dl_projected_grad
 from spheregd.objectives import (
     _PANEL_BYTES,
     check_mu,
     dl_objective,
     dl_pop_projected_grad_estimate,
-    dl_projected_grad,
     log_cosh,
     sep_objective,
-    sep_projected_grad,
 )
-from spheregd.sphere import chart_to_sphere, sample_uniform_sphere, scale_to_zeta, tangent_project
+from spheregd.sphere import (
+    chart_to_sphere,
+    outward_direction,
+    sample_uniform_sphere,
+    scale_to_zeta,
+    tangent_project,
+)
 
 CROSS_CHECK_TOL = 1e-12  # closed-form outward slope vs. the explicit inner-product route
+
+
+def sep_slope(w, i, mu):
+    """The separable outward slope as projection_scan takes it: the oracle's
+    gradient along the outward direction."""
+    q, d = outward_direction(w, i)
+    return float(sep_objective(mu)(q, value=False)[1] @ d)
+
+
+def sep_slope_closed_form(w, i, mu):
+    """tanh(|w_i|/mu) - tanh(q_n/mu) |w_i| / q_n; the odd symmetry of tanh
+    folds both signs of w_i into the same expression."""
+    qn = chart_to_sphere(w)[-1]
+    a = abs(float(w[i]))
+    return float(np.tanh(a / mu) - np.tanh(qn / mu) * a / qn)
+
+
+def dl_slope_closed_form(w, i, Y, mu):
+    """(1/p) sum_k tanh(q'y_k/mu) (sign(w_i) y_{k,i} - |w_i|/q_n y_{k,n})."""
+    q = chart_to_sphere(w)
+    proj = np.sign(w[i]) * Y[i] - (abs(float(w[i])) / q[-1]) * Y[-1]
+    return float(np.mean(np.tanh(Y.T @ q / mu) * proj))
 
 
 def dl_pop_grad_estimate(q, mu, theta, num_samples, rng):
@@ -104,23 +131,25 @@ def test_sep_gradient_fd():
 
 
 def test_sep_projected_grad_boundary_zero():
-    # w_i equal to the lifted coordinate: the slope cancels exactly
+    # w_i equal to the lifted coordinate: the slope cancels, exactly in closed form
     b = 0.1
     a = np.sqrt((1.0 - b * b) / 2.0)
     w = np.array([a, b])
-    assert sep_projected_grad(w, 0, 0.05) == 0.0
+    assert sep_slope_closed_form(w, 0, 0.05) == 0.0
+    assert abs(sep_slope(w, 0, 0.05)) <= 1e-15
 
 
 def test_sep_projected_grad_value_and_sign_handling():
-    val = sep_projected_grad(np.array([0.3, 0.2]), 0, 0.1)
+    with pytest.warns(RuntimeWarning, match="1/16"):  # mu = 0.1 is past the positivity guarantee
+        val = sep_slope(np.array([0.3, 0.2]), 0, 0.1)
+        # odd symmetry folds the negative-coordinate case into the same value
+        assert sep_slope(np.array([-0.3, 0.2]), 0, 0.1) == val
     assert val == pytest.approx(0.6734209983255717, abs=1e-15)
-    # odd symmetry folds the negative-coordinate case into the same value
-    assert sep_projected_grad(np.array([-0.3, 0.2]), 0, 0.1) == val
 
 
 def test_sep_projected_grad_zero_coordinate_errors():
     with pytest.raises(ValueError):
-        sep_projected_grad(np.array([0.0, 0.2]), 0, 0.1)
+        sep_slope(np.array([0.0, 0.2]), 0, 0.1)
 
 
 def test_sep_projected_grad_matches_vector_route():
@@ -134,10 +163,31 @@ def test_sep_projected_grad_matches_vector_route():
         i = int(rng.integers(0, 5))
         if w[i] == 0.0:
             continue
-        q = chart_to_sphere(w)
-        u = u_direction(w, i)
-        direct = u @ oracle(q)[1]
-        assert abs(direct - sep_projected_grad(w, i, mu)) <= CROSS_CHECK_TOL
+        q, d = outward_direction(w, i)
+        direct = d @ oracle(q)[1]
+        assert abs(direct - sep_slope_closed_form(w, i, mu)) <= CROSS_CHECK_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.999, exclude_min=True),
+    st.floats(0.005, 0.06),
+    st.integers(1, 400),
+)
+def test_outward_slopes_match_closed_forms(n, seed, radius, mu, p):
+    # both library slopes, an oracle's gradient along the outward direction,
+    # against their closed forms anywhere in the open ball with w_i != 0
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n - 1)
+    w *= radius / np.linalg.norm(w)
+    i = int(rng.integers(n - 1))
+    assume(w[i] != 0.0)
+    assert abs(sep_slope(w, i, mu) - sep_slope_closed_form(w, i, mu)) <= 1e-14
+    Y = gen_bg_matrix(n, p, 0.3, rng)
+    ref = dl_slope_closed_form(w, i, Y, mu)
+    assert abs(dl_projected_grad(w, i, Y, mu) - ref) <= max(1e-12 * abs(ref), 1e-15)
 
 
 def test_sep_chart_grad_matches_projection():
@@ -149,7 +199,7 @@ def test_sep_chart_grad_matches_projection():
         for i in range(4):
             if w[i] != 0.0:
                 si = np.sign(w[i])
-                assert si * g[i] == pytest.approx(sep_projected_grad(w, i, mu), abs=1e-14)
+                assert si * g[i] == pytest.approx(sep_slope(w, i, mu), abs=1e-14)
 
 
 def test_dl_trivial_cases():
@@ -321,7 +371,7 @@ def test_projection_positivity_linear_in_zeta():
             winf = np.max(np.abs(w))
             for i in range(7):
                 if abs(w[i]) >= thr:
-                    s = sep_projected_grad(w, i, mu)
+                    s = sep_slope(w, i, mu)
                     assert s > 0.0
                     vals.append(s / (winf * z))
         ratios[z] = min(vals)
@@ -359,8 +409,7 @@ def test_estimator_cross_consistency():
     rng = np.random.default_rng(13)
     w = scale_to_zeta(rng.standard_normal(n - 1), 0.5)
     i = int(np.argmax(np.abs(w)))
-    q = chart_to_sphere(w)
-    u = u_direction(w, i)
+    q, u = outward_direction(w, i)
     reps = np.array([dl_pop_grad_estimate(q, mu, theta, 20_000, rng) @ u for _ in range(12)])
     naive_m = reps.mean()
     naive_se = reps.std(ddof=1) / np.sqrt(reps.size)

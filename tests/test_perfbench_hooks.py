@@ -41,7 +41,8 @@ def test_every_tracer_hook_resolves_and_unpatch_restores_it(tmp_path, capsys):
         assert tracer.absent == set()
         assert len(patched) == tracer.hooks
         assert all(getattr(mod, attr) is not orig for mod, attr, orig in patched)
-        # a traced batch of each problem and the identity probe: every per-layer
+        # a traced batch of each problem, the identity probe and the fluctuation
+        # probe, whose slopes nothing else traced calls: every per-layer
         # metric is a number, and stdout, where perfbench prints its result
         # line, holds only the paths the commands wrote
         for command, text in (("run-sep", SEP_CFG), ("run-dl", DL_CFG), ("run-pr", PR_CFG)):
@@ -51,14 +52,17 @@ def test_every_tracer_hook_resolves_and_unpatch_restores_it(tmp_path, capsys):
             assert cli.main(argv + ["--save-traces"] * (command != "run-pr")) == cli.EXIT_OK
         argv = ["probe-pr-identities", "--n", "4", "--steps", "100", "--out", str(tmp_path / "probe")]
         assert cli.main(argv) == cli.EXIT_OK
+        argv = ["probe-fluctuation", "--n", "4", "--p-list", "10,20", "--trials", "2", "--out", str(tmp_path / "fl")]
+        assert cli.main(argv) == cli.EXIT_OK
         metrics = tr.layer_metrics(tracer)
         assert tracer.absent == set()
         assert {k: v for k, (v, _) in metrics.items() if not (isinstance(v, (int, float)) and math.isfinite(v))} == {}
         assert metrics["phase_retrieval.pr_descend.calls"][0] == 1
         assert metrics["phase_retrieval.pr_descend.iterations"][0] == 100
         assert metrics["phase_retrieval.accept_ratio"][0] > 0.0
+        assert metrics["objectives.dl_projected_grad.calls"][0] == 4  # one slope per (p, trial)
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 4 and all(Path(line).is_file() for line in lines)
+        assert len(lines) == 5 and all(Path(line).is_file() for line in lines)
     finally:
         tracer.unpatch()
     assert all(getattr(mod, attr) is orig for mod, attr, orig in patched)
