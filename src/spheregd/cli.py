@@ -53,9 +53,6 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_GATE = 3
 
-# the batch command of each problem
-_RUN_COMMANDS = {"run-sep": "separable", "run-dl": "dictionary", "run-pr": "phase_retrieval"}
-PROBLEMS = tuple(_RUN_COMMANDS.values())
 TRACE_COLUMNS = ("iter", "f", "grad_norm", "zeta", "w_inf", "dist_target")
 
 
@@ -97,13 +94,7 @@ class RunSummary:
 
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
-_COMMON_KEYS = {*_REQUIRED_KEYS, "out_dir"}
-# the keys each problem reads; any other key must keep its default
-_PROBLEM_KEYS = {
-    "separable": _COMMON_KEYS | {"mu", "eta", "zeta0", "r_or_s", "save_traces"},
-    "dictionary": _COMMON_KEYS | {"p", "theta", "mu", "eta", "r_or_s", "dictionary_mode", "save_traces"},
-    "phase_retrieval": _COMMON_KEYS | {"eta", "zeta0", "c"},
-}
+_COMMON_KEYS = {*_REQUIRED_KEYS, "out_dir"}  # every problem reads these
 
 
 def parse_config(path):
@@ -142,10 +133,11 @@ def parse_config(path):
 
 
 def validate_config(cfg):
-    if cfg.problem not in PROBLEMS:
-        raise ConfigError(f"problem must be one of {PROBLEMS}, got {cfg.problem!r}")
-    for f in fields(cfg):
-        if f.name not in _PROBLEM_KEYS[cfg.problem] and getattr(cfg, f.name) != f.default:
+    if cfg.problem not in _PROBLEMS:
+        raise ConfigError(f"problem must be one of {tuple(_PROBLEMS)}, got {cfg.problem!r}")
+    keys = _PROBLEMS[cfg.problem].keys
+    for f in fields(cfg):  # a key the problem does not read must keep its default
+        if f.name not in _COMMON_KEYS | keys and getattr(cfg, f.name) != f.default:
             raise ConfigError(f"problem {cfg.problem} does not read {f.name!r}; leave it unset")
     for key, kind in _KEY_TYPES.items():
         if kind is float and not math.isfinite(getattr(cfg, key)):
@@ -161,37 +153,28 @@ def validate_config(cfg):
             raise ConfigError(f"{key} must be positive (or omitted for the default)")
     if cfg.zeta0 <= 0.0:
         raise ConfigError("zeta0 must be positive")
-    if cfg.problem == "dictionary":
+    if "p" in keys:  # the dictionary data
         if cfg.p < 1:
             raise ConfigError("dictionary problem needs p >= 1")
         if not (0.0 < cfg.theta < 0.5):
             raise ConfigError("dictionary problem needs theta in (0, 1/2)")
         if cfg.dictionary_mode not in ("identity", "random_orthogonal"):
             raise ConfigError(f"unknown dictionary_mode {cfg.dictionary_mode!r}")
-    if cfg.problem == "phase_retrieval" and not (0.0 < cfg.c < 0.25):
+    if "c" in keys and not (0.0 < cfg.c < 0.25):
         raise ConfigError("phase_retrieval needs 0 < c < 1/4")
 
 
 def resolve_config(cfg):
     """Fill the problem's defaults for mu, eta and the target radius it reads."""
-    mu, eta, r_or_s = cfg.mu, cfg.eta, cfg.r_or_s
-    if cfg.problem == "separable":
-        if mu == 0.0:
-            mu = float(default_sep_mu(cfg.n))
-        if eta == 0.0:
-            eta = float(default_sep_eta(cfg.n, mu))
-        if r_or_s == 0.0:
-            r_or_s = float(mu * np.log(1.0 / mu))
-    elif cfg.problem == "dictionary":
-        if mu == 0.0:
-            mu = 0.01
-        if eta == 0.0:
-            eta = 0.01
-        if r_or_s == 0.0:
-            r_or_s = 0.15
-    elif eta == 0.0:
-        eta = _pr_signal(cfg.n, cfg.c)[1]
+    mu, eta, r_or_s = _PROBLEMS[cfg.problem].defaults(cfg)
     return replace(cfg, mu=mu, eta=eta, r_or_s=r_or_s)
+
+
+def _sep_defaults(cfg):
+    mu = cfg.mu or float(default_sep_mu(cfg.n))
+    if cfg.r_or_s == 0.0 and mu >= 1.0:
+        raise ConfigError(f"mu = {_fmt(mu)} >= 1 gives no positive default radius mu log(1/mu); set r_or_s")
+    return mu, cfg.eta or float(default_sep_eta(cfg.n, mu)), cfg.r_or_s or float(mu * np.log(1.0 / mu))
 
 
 def _pr_signal(n, c):
@@ -241,27 +224,81 @@ def _summary(seed, trace, final_dist):
     )
 
 
-def _run_seeds(cfg, seeds):
-    """Run a contiguous range of seeds; returns [(RunSummary, DescentTrace)].
+def _run_sep_seeds(cfg, seeds):
+    """The separable seeds as one lockstep block; returns ([(RunSummary,
+    DescentTrace)], extras)."""
+    Q0 = [sample_uniform_sphere(cfg.n, np.random.default_rng(s)) for s in seeds]
+    dcfg = DescentConfig(cfg.eta, cfg.max_iters, stop_ball=BallStop("linf", cfg.r_or_s))
+    traces = riemannian_gd_block(sep_objective(cfg.mu), Q0, dcfg, traced=cfg.save_traces)
+    results = [(_summary(s, tr, float(tr.dist_target[-1])), tr) for s, tr in zip(seeds, traces)]
+    return results, {"theory_success_bound": landscape.sep_success_bound(cfg.n, cfg.zeta0)}
 
-    The separable seeds form one lockstep block.  A dictionary seed is a run
-    of its own, since each draws its own data (instance first, then q0).
-    """
-    if cfg.problem == "separable":
-        Q0 = [sample_uniform_sphere(cfg.n, np.random.default_rng(s)) for s in seeds]
-        dcfg = DescentConfig(cfg.eta, cfg.max_iters, stop_ball=BallStop("linf", cfg.r_or_s))
-        traces = riemannian_gd_block(sep_objective(cfg.mu), Q0, dcfg, traced=cfg.save_traces)
-        return [(_summary(s, tr, float(tr.dist_target[-1])), tr) for s, tr in zip(seeds, traces)]
-    return [_run_dl_seed(cfg, s) for s in seeds]
+
+def _run_dl_seeds(cfg, seeds):
+    """Each dictionary seed as a run of its own, since each draws its own data."""
+    return [_run_dl_seed(cfg, s) for s in seeds], {}
 
 
 def _run_dl_seed(cfg, seed):
     rng = np.random.default_rng(seed)
-    inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)
+    inst = gen_instance(cfg.n, cfg.p, cfg.theta, cfg.dictionary_mode, rng)  # the instance first, then q0
     q0 = sample_uniform_sphere(cfg.n, rng)
     dcfg = DescentConfig(cfg.eta, cfg.max_iters, stop_ball=BallStop("l2", cfg.r_or_s))
     trace = riemannian_gd(dl_objective(inst.Y, cfg.mu), q0, dcfg, inst.A0, traced=cfg.save_traces)
     return _summary(seed, trace, recovery_error(trace.q_final, inst.A0)[1]), trace
+
+
+def _run_pr_seeds(cfg, seeds):
+    """The phase-retrieval seeds as one experiment, without traces; its band
+    statistics pool the draws of every seed."""
+    x = _pr_signal(cfg.n, cfg.c)[0]
+    exp = phase_retrieval.pr_experiment(
+        cfg.n, x, cfg.eta, cfg.c, cfg.zeta0, [np.random.default_rng(s) for s in seeds],
+        max_iters=cfg.max_iters,
+    )
+    results = []
+    for seed, run in zip(seeds, exp.runs):
+        finite = math.isfinite(run.final_dist)  # the engine stops a run on a non-finite state
+        status = STATUS_NAN if not finite else STATUS_BALL if run.converged else STATUS_MAX
+        final_f = float(phase_retrieval.pr_value(run.final_z, x))
+        summary = RunSummary(seed, run.iterations, final_f, run.final_dist, run.final_zeta, status)
+        results.append((summary, None))
+    extras = {
+        "band_fraction": exp.band_fraction,
+        "band_bound": exp.band_bound,
+        "total_draws": exp.total_draws,
+        "max_zeta_dev": max(r.max_zeta_dev for r in exp.runs),
+        "max_w_dev": max(r.max_w_dev for r in exp.runs),
+    }
+    return results, extras
+
+
+# What each batch problem is: its command; the keys it reads beyond _COMMON_KEYS;
+# defaults(cfg) -> (mu, eta, r_or_s), each 0 replaced by the problem's default;
+# run(cfg, seeds) -> ([(RunSummary, trace)], extras), module-level so that
+# workers can unpickle it; pool, how run_batch hands seeds to workers: "block"
+# (one contiguous block per worker), "seed" (one task per seed) or "inline"
+# (in-process only, for extras that pool every seed); and gate(frac, sigma,
+# extras), whether --check passes at success fraction frac with binomial
+# standard error sigma.  A pooled runner's extras depend on cfg alone.
+_Problem = collections.namedtuple("_Problem", "command keys defaults run pool gate")
+_PROBLEMS = {
+    "separable": _Problem(
+        "run-sep", {"mu", "eta", "zeta0", "r_or_s", "save_traces"}, _sep_defaults, _run_sep_seeds, "block",
+        lambda frac, sigma, extras: frac >= extras["theory_success_bound"] - 3.0 * sigma,
+    ),
+    "dictionary": _Problem(
+        "run-dl", {"p", "theta", "mu", "eta", "r_or_s", "dictionary_mode", "save_traces"},
+        lambda cfg: (cfg.mu or 0.01, cfg.eta or 0.01, cfg.r_or_s or 0.15), _run_dl_seeds, "seed",
+        lambda frac, sigma, extras: frac >= 0.9,
+    ),
+    "phase_retrieval": _Problem(
+        "run-pr", {"eta", "zeta0", "c"},
+        lambda cfg: (cfg.mu, cfg.eta or _pr_signal(cfg.n, cfg.c)[1], cfg.r_or_s), _run_pr_seeds, "inline",
+        lambda frac, sigma, extras: frac >= 1.0
+        and extras["band_fraction"] <= extras["band_bound"] + 3.0 * math.sqrt(0.25 / extras["total_draws"]),
+    ),
+}
 
 
 def run_batch(cfg, jobs=None):
@@ -272,55 +309,23 @@ def run_batch(cfg, jobs=None):
     statistics).  jobs sets the workers as --jobs does, None as its default;
     runs are independent, so results do not depend on the worker count.
     """
-    if cfg.problem == "phase_retrieval":
-        return _run_pr_batch(cfg)
+    problem = _PROBLEMS[cfg.problem]
     seeds = range(cfg.seed_base, cfg.seed_base + cfg.num_seeds)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = min((cpus if cfg.problem == "dictionary" else 1) if jobs is None else jobs, len(seeds), cpus)
-    ntasks = len(seeds) if cfg.problem == "dictionary" else jobs  # one task per dictionary seed
+    if jobs is None or problem.pool == "inline":
+        jobs = cpus if problem.pool == "seed" else 1
+    jobs = min(jobs, len(seeds), cpus)
+    ntasks = len(seeds) if problem.pool == "seed" else jobs
     tasks = [seeds[k * len(seeds) // ntasks : (k + 1) * len(seeds) // ntasks] for k in range(ntasks)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = [r for task in ex.map(_run_seeds, [cfg] * ntasks, tasks) for r in task]
+            parts = list(ex.map(problem.run, [cfg] * ntasks, tasks))
+        results, extras = [r for part, _ in parts for r in part], parts[0][1]
     else:
-        results = _run_seeds(cfg, seeds)
+        results, extras = problem.run(cfg, seeds)
     summaries = [s for s, _ in results]
     traces = {s.seed: t for s, t in results} if cfg.save_traces else {}
-    extras = {}
-    if cfg.problem == "separable":
-        extras["theory_success_bound"] = landscape.sep_success_bound(cfg.n, cfg.zeta0)
     return summaries, traces, extras
-
-
-def _run_pr_batch(cfg):
-    seeds = range(cfg.seed_base, cfg.seed_base + cfg.num_seeds)
-    x = _pr_signal(cfg.n, cfg.c)[0]
-    exp = phase_retrieval.pr_experiment(
-        cfg.n, x, cfg.eta, cfg.c, cfg.zeta0, [np.random.default_rng(s) for s in seeds],
-        max_iters=cfg.max_iters,
-    )
-    summaries = []
-    for seed, run in zip(seeds, exp.runs):
-        finite = math.isfinite(run.final_dist)  # the engine stops a run on a non-finite state
-        status = STATUS_NAN if not finite else STATUS_BALL if run.converged else STATUS_MAX
-        summaries.append(
-            RunSummary(
-                seed=seed,
-                iterations=run.iterations,
-                final_f=float(phase_retrieval.pr_value(run.final_z, x)),
-                final_dist=run.final_dist,
-                final_zeta=run.final_zeta,
-                status=status,
-            )
-        )
-    extras = {
-        "band_fraction": exp.band_fraction,
-        "band_bound": exp.band_bound,
-        "total_draws": exp.total_draws,
-        "max_zeta_dev": max(r.max_zeta_dev for r in exp.runs),
-        "max_w_dev": max(r.max_w_dev for r in exp.runs),
-    }
-    return summaries, {}, extras
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +407,11 @@ def _cmd_run(args):
         cfg = replace(cfg, save_traces=True)
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    expected = _RUN_COMMANDS[args.command]
-    if cfg.problem != expected:
-        raise ConfigError(f"{args.command} needs problem = {expected}, config says {cfg.problem!r}")
-    if (args.jobs or 1) > 1 and cfg.problem == "phase_retrieval":
-        raise ConfigError("run-pr runs in one process; it does not read --jobs")
+    if cfg.problem != args.problem:
+        raise ConfigError(f"{args.command} needs problem = {args.problem}, config says {cfg.problem!r}")
+    problem = _PROBLEMS[cfg.problem]
+    if (args.jobs or 1) > 1 and problem.pool == "inline":
+        raise ConfigError(f"{args.command} runs in one process; it does not read --jobs")
     cfg = resolve_config(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)  # an unwritable path fails before the batch runs
     summaries, traces, extras = run_batch(cfg, jobs=args.jobs)
@@ -423,16 +428,7 @@ def _cmd_run(args):
     if args.check:
         frac = sum(s.status == STATUS_BALL for s in summaries) / len(summaries)
         sigma = math.sqrt(max(frac * (1.0 - frac), 1.0 / len(summaries)) / len(summaries))
-        if cfg.problem == "separable":
-            gate = extras["theory_success_bound"] - 3.0 * sigma
-        elif cfg.problem == "dictionary":
-            gate = 0.9
-        else:
-            band_sigma = math.sqrt(0.25 / extras["total_draws"])
-            if extras["band_fraction"] > extras["band_bound"] + 3.0 * band_sigma:
-                return EXIT_GATE
-            gate = 1.0
-        if frac < gate:
+        if not problem.gate(frac, sigma, extras):
             return EXIT_GATE
     return EXIT_OK
 
@@ -516,15 +512,15 @@ def build_parser():
     parser = _Parser(prog="spheregd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in _RUN_COMMANDS:
-        sp = sub.add_parser(name, help=f"{name} batch from a config file")
+    for problem, spec in _PROBLEMS.items():
+        sp = sub.add_parser(spec.command, help=f"{spec.command} batch from a config file")
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None, help="override seed_base")
         sp.add_argument("--jobs", type=int, help="worker processes (default: usable CPUs for run-dl, else 1)")
         sp.add_argument("--out", default=None, help="override out_dir")
         sp.add_argument("--save-traces", action="store_true")
         sp.add_argument("--check", action="store_true", help="exit 3 if the gate fails")
-        sp.set_defaults(func=_cmd_run)
+        sp.set_defaults(func=_cmd_run, problem=problem)
 
     sp = sub.add_parser("probe-volume")
     sp.add_argument("--n", type=int, required=True)

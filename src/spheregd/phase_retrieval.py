@@ -126,11 +126,17 @@ def iteration_budget(x, eta, c, zeta_init):
     _check_c(c)
     x2 = _signal(x)[1]
     a = eta * x2
-    t1 = max(0.0, math.log(math.sqrt(x2) / (zeta_init * math.sqrt(2.0))) / math.log1p(a))
-    t2 = math.log(2.0) / (2.0 * math.log1p(2.0 * c * a))
-    t34 = math.log(2.0 * c) / math.log1p(-(1.0 - 2.0 * c) * a)
-    tr = math.log(4.0 / math.sqrt(7.0)) / math.log1p(2.0 * c * a)
-    return int(math.ceil(t1 + t2 + t34 * tr)) + 1
+    rates = math.log1p(a), math.log1p(2.0 * c * a), math.log1p(-(1.0 - 2.0 * c) * a)
+    if 0.0 in rates:
+        raise ValueError("eta ||x||^2 or c eta ||x||^2 rounds to 0: no finite iteration budget")
+    t1 = max(0.0, math.log(math.sqrt(x2) / (zeta_init * math.sqrt(2.0))) / rates[0])
+    t2 = math.log(2.0) / (2.0 * rates[1])
+    t34 = math.log(2.0 * c) / rates[2]
+    tr = math.log(4.0 / math.sqrt(7.0)) / rates[1]
+    total = t1 + t2 + t34 * tr
+    if not math.isfinite(total):
+        raise ValueError("the iteration budget overflows: eta, c or zeta_init is too small")
+    return int(math.ceil(total)) + 1
 
 
 @dataclass
@@ -252,7 +258,8 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     if not (0.0 < zeta0 < xn / math.sqrt(2.0)):
         raise ValueError("zeta0 must sit inside the starting ball")
     radius = xn / math.sqrt(2.0)
-    hopeless = -math.expm1(1e5 * math.log1p(-((1.0 - 2.0 * zeta0 * zeta0 / x2) ** n))) < 1e-9
+    law = (1.0 - 2.0 * zeta0 * zeta0 / x2) ** n  # a law that rounds to 1 clears at the first draw
+    hopeless = law < 1.0 and -math.expm1(1e5 * math.log1p(-law)) < 1e-9
     starts, budgets = [], []
     total_draws = 0
     band_draws = 0

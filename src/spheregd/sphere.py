@@ -123,5 +123,10 @@ def scale_to_zeta(direction, zeta0):
     dinf = float(np.max(np.abs(d)))
     if dinf == 0.0:
         raise ValueError("direction must be nonzero")
-    t = 1.0 / np.sqrt((1.0 + zeta0) ** 2 * dinf**2 + float(d @ d))
+    try:
+        with np.errstate(over="raise"):  # a float raises OverflowError, a numpy scalar FloatingPointError
+            grow = (1.0 + zeta0) ** 2
+    except ArithmeticError:  # zeta0 above about 1.34e154
+        raise ValueError(f"zeta = {zeta0} is too large: (1 + zeta)^2 overflows") from None
+    t = 1.0 / np.sqrt(grow * dinf**2 + float(d @ d))
     return t * d

@@ -23,6 +23,7 @@ from spheregd.cli import (
     main,
     parse_config,
     resolve_config,
+    run_batch,
     write_trace_csv,
 )
 from spheregd.descent import DescentTrace
@@ -157,6 +158,11 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-projection", "--n", "6", "--zetas", "nan", "--samples", "2"]),
         (None, ["run-sep", "--out", "{tmp}/afile/sub"]),
         (None, ["probe-critical", "--n", "3", "--out", "{tmp}/afile"]),
+        (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 2"), ["run-sep"]),
+        (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 1"), ["run-sep"]),
+        (("zeta0 = 0.03", "zeta0 = 0.03\neta = 1e-300"), ["run-pr"]),
+        (("zeta0 = 0.03", "zeta0 = 0.03\nc = 1e-300"), ["run-pr"]),
+        (None, ["probe-fluctuation", "--n", "4", "--zeta", "1e300", "--p-list", "10"]),
     ],
     ids=[
         "seed_base-negative",
@@ -207,6 +213,11 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "projection-zeta-nan",
         "out-under-a-file",
         "out-is-a-file",
+        "config-sep-mu-2-without-r_or_s",
+        "config-sep-mu-1-without-r_or_s",
+        "pr-eta-1e-300",
+        "pr-c-1e-300",
+        "fluctuation-zeta-1e300",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
@@ -226,6 +237,8 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("spheregd: ")
+    if edit is not None:  # the message names the key the edit set last
+        assert re.search(rf"\b{edit[1].splitlines()[-1].split()[0]}\b", err[0])
 
 
 @pytest.mark.parametrize(
@@ -391,14 +404,19 @@ def test_batch_row_matches_one_seed_batch(tmp_path, command, text):
         assert _rows(out / "summary.txt") == [row]
 
 
-def test_run_dl_check_gate_fails_on_tiny_budget(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "dl.cfg",
-        "problem = dictionary\nn = 6\np = 200\ntheta = 0.25\nmu = 0.01\neta = 0.01\n"
-        "num_seeds = 2\nseed_base = 0\nmax_iters = 3\n",
-    )
-    assert main(["run-dl", "--config", cfg, "--out", str(tmp_path / "o"), "--check"]) == EXIT_GATE
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # below 5 seeds the sigma floor 1/N puts this config's separable gate at or below 0
+        ("run-sep", SEP_CFG.replace("num_seeds = 3", "num_seeds = 12")),
+        ("run-dl", DL_CFG),
+        ("run-pr", PR_CFG),
+    ],
+    ids=["sep", "dl", "pr"],
+)
+def test_check_gate_fails_on_tiny_budget(tmp_path, command, text):
+    cfg = _write(tmp_path, "a.cfg", re.sub(r"max_iters = \d+", "max_iters = 1", text))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--check"]) == EXIT_GATE
 
 
 def test_run_dl_default_step_converges(tmp_path):
@@ -413,6 +431,23 @@ def test_run_pr(tmp_path):
     assert main(["run-pr", "--config", cfg, "--out", out, "--check"]) == EXIT_OK
     summary = (tmp_path / "pro" / "summary.txt").read_text()
     assert "band_fraction" in summary and "max_zeta_dev" in summary
+
+
+def test_run_pr_start_law_of_one_is_not_hopeless(tmp_path):
+    # P(margin >= 1e-9) rounds to 1: the first draw clears zeta0, so the band is not hopeless
+    cfg = _write(tmp_path, "pr.cfg", PR_CFG.replace("n = 6", "n = 4").replace("zeta0 = 0.03", "zeta0 = 1e-9"))
+    assert main(["run-pr", "--config", cfg, "--out", str(tmp_path / "pro"), "--check"]) == EXIT_OK
+
+
+def test_run_pr_batch_does_not_depend_on_jobs(tmp_path, monkeypatch):
+    # band statistics pool the draws of every seed: a batch split over workers would misreport them
+    cfg = resolve_config(parse_config(_write(tmp_path, "pr.cfg", PR_CFG)))
+    one = run_batch(cfg, jobs=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "pools", [])
+    assert run_batch(cfg, jobs=2) == one
+    assert one[2]["total_draws"] >= cfg.num_seeds and _InProcessPool.pools == []
 
 
 def test_run_pr_non_finite_run_exits_2(tmp_path, monkeypatch):

@@ -61,6 +61,12 @@ def test_every_tracer_hook_resolves_and_unpatch_restores_it(tmp_path, capsys):
         assert metrics["phase_retrieval.pr_descend.iterations"][0] == 100
         assert metrics["phase_retrieval.accept_ratio"][0] > 0.0
         assert metrics["objectives.dl_projected_grad.calls"][0] == 4  # one slope per (p, trial)
+        # a layer the batches reach past its hooked name (say, an objective factory bound
+        # before the hook went in) reads 0 rather than null
+        for name in ("objectives.sep_oracle", "objectives.dl_oracle", "datagen.gen_instance"):
+            assert metrics[name + ".calls"][0] > 0
+        assert metrics["descent.riemannian_gd.calls"][0] > 0
+        assert metrics["cli.write_trace_csv.calls"][0] == 5  # 3 separable and 2 dictionary seeds
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5 and all(Path(line).is_file() for line in lines)
     finally:

@@ -233,6 +233,24 @@ def test_iteration_budget_positive_and_monotone():
     assert 0 < b1 < b2
 
 
+_BUDGET_EDGES = [1e-300, 1e-8, math.inf, math.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eta=st.sampled_from(_BUDGET_EDGES) | st.floats(1e-6, 0.125),
+    c=st.sampled_from(_BUDGET_EDGES + [0.2499, math.nextafter(0.25, 0.0)]) | st.floats(1e-4, 0.2499),
+    zeta_init=st.sampled_from(_BUDGET_EDGES) | st.floats(1e-6, 1.0 / math.sqrt(2.0)),
+)
+def test_iteration_budget_is_a_positive_int_or_a_value_error(eta, c, zeta_init):
+    # eta or c of 1e-300 makes a log1p rate 0 or the total infinite
+    try:
+        budget = iteration_budget(np.eye(4, dtype=complex)[0], eta, c, zeta_init)
+    except ValueError:
+        return
+    assert type(budget) is int and budget > 0
+
+
 def test_experiment_rejects_bad_eta():
     x = np.zeros(4, complex)
     x[0] = 1.0

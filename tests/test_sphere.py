@@ -227,6 +227,12 @@ def test_scale_to_zeta():
         assert zeta(w) == pytest.approx(z0, abs=1e-12)
 
 
+@pytest.mark.parametrize("z0", [1e300, np.float64(1e300)], ids=["float", "numpy"])
+def test_scale_to_zeta_rejects_a_zeta_whose_square_overflows(z0):
+    with pytest.raises(ValueError, match="overflows"):
+        scale_to_zeta(np.ones(3), z0)
+
+
 @st.composite
 def _points_and_steps(draw):
     """A (B, n) block of sphere points, raw vectors G and a step length per row,
