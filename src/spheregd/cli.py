@@ -172,9 +172,10 @@ def resolve_config(cfg):
 
 def _sep_defaults(cfg):
     mu = cfg.mu or float(default_sep_mu(cfg.n))
-    if cfg.r_or_s == 0.0 and mu >= 1.0:
-        raise ConfigError(f"mu = {_fmt(mu)} >= 1 gives no positive default radius mu log(1/mu); set r_or_s")
-    return mu, cfg.eta or float(default_sep_eta(cfg.n, mu)), cfg.r_or_s or float(mu * np.log(1.0 / mu))
+    r_or_s = cfg.r_or_s or float(mu * np.log(1.0 / mu))
+    if not 0.0 < r_or_s < math.inf:  # mu >= 1, or 1/mu overflows
+        raise ConfigError(f"mu = {_fmt(mu)} gives no positive finite default radius mu log(1/mu); set r_or_s")
+    return mu, cfg.eta or float(default_sep_eta(cfg.n, mu)), r_or_s
 
 
 def _pr_signal(n, c):

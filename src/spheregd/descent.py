@@ -14,6 +14,7 @@ STATUS_BALL = "ball_entered"
 STATUS_GRAD = "grad_tol"
 STATUS_MAX = "max_iters"
 STATUS_NAN = "aborted_nan"
+_STATUSES = (STATUS_NAN, STATUS_GRAD, STATUS_BALL, STATUS_MAX)  # in the order the stop rules are checked
 
 START_NORM_TOL = 1e-9  # accepted deviation of a start point's norm from 1
 
@@ -94,18 +95,11 @@ _WINDOW = 32
 def _entered_ball(top, second, ball):
     # top = largest |coordinate| of the frame-rotated iterate, second = next one;
     # in chart terms second = ||w||_inf and sqrt(1 - top^2) = ||w||_2.
+    if ball is None:
+        return False
     if ball.norm == "linf":
         return second < ball.radius
     return np.sqrt(np.fmax(0.0, 1.0 - top * top)) < ball.radius
-
-
-def _trace(iters, cols, status, q):
-    """DescentTrace from the recorded columns (value, gradient norm, largest
-    and second largest |coordinate| in the run frame)."""
-    f, gn, top, second = cols
-    zeta = np.divide(top, second, out=np.full(second.shape, np.inf), where=second != 0.0) - 1.0
-    dist = np.sqrt(np.fmax(0.0, 2.0 - 2.0 * top))
-    return DescentTrace(iters, f, gn, zeta, second, dist, status, q)
 
 
 def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
@@ -122,13 +116,15 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     only its last iterate and the value is computed there alone.
 
     Stop rules are checked once per window of _WINDOW steps but mean the same
-    per step: a row stops at its first iterate where one fires, in the order
-    non-finite, grad_tol, ball, max_iters (so a run started at a critical point
-    terminates immediately), and its steps past that iterate are discarded.
-    A non-finite gradient, or a non-finite value at a recorded iterate, aborts
-    the row with status "aborted_nan"; nothing is clamped.  A row leaves the
-    block when it stops; rows never interact, so each row's trace equals that
-    of a one-row block bit for bit.
+    per step: a row stops at its first iterate where one fires, and its status
+    is the first rule that fires there, in the order non-finite, grad_tol,
+    ball, max_iters (so a run started at a critical point terminates
+    immediately); its steps past that iterate are discarded.  A non-finite
+    gradient, or a non-finite value at a recorded iterate, aborts the row with
+    status "aborted_nan"; nothing is clamped.  A row leaves the block when it
+    stops.  Rows never interact, and each window rotates every row's iterates
+    into the target frame by that row's own product, so each row's trace
+    equals that of a one-row block bit for bit, with or without a target basis.
 
     A window allocates its arrays once, and the engine allocates nothing per
     step: step s reads the iterate Qs[s], has the oracle write Gs[s] and the
@@ -141,56 +137,54 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
         raise ValueError("q0 must have unit norm")
     RT = None if target_basis is None else np.asarray(target_basis, dtype=float).T
     ball, tol, step_scale = cfg.stop_ball, cfg.stop_grad_tol, -cfg.eta
-    multiply, matmul = np.multiply, np.matmul
+    multiply = np.multiply
 
     rows = np.arange(len(Q))  # caller's row index of each row still running
     traces = [None] * len(Q)
-    history = []  # traced: per window, value, gradient norm, top and second |coordinate| of each caller row
+    history = []  # traced: per window, the trace columns of each caller row
     t0 = 0  # iteration of the window's first step
     while rows.size:
         w = min(_WINDOW, cfg.max_iters + 1 - t0)
         Qs, Gs, V = np.empty((w + 1,) + Q.shape), np.empty((w,) + Q.shape), np.empty(Q.shape)
         Qs[0] = Q
-        # frame-rotated iterates, kept as the (n, B) products R.T @ Q.T that fix their bits
-        AsT = None if RT is None else np.empty((w, Q.shape[1], Q.shape[0]))
-        F = np.empty((w, len(rows))) if traced else None
+        C = np.empty((5, w, len(rows)))  # each iterate's trace columns, in DescentTrace's order
+        F, gn, zeta, w_inf, dist = C  # F: every iterate's value when traced, else each stop's
         geodesic = geodesic_step(Q.shape)
-        with np.errstate(invalid="ignore", over="ignore"):  # a stopped row may step on to non-finite values
+        # a stopped row may step on to non-finite values; zeta is inf on a target
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for s, (q, g, q_next) in enumerate(zip(Qs, Gs, Qs[1:])):
-                if RT is not None:
-                    matmul(RT, q.T, out=AsT[s])
                 f = objective(q, value=traced, out=g)[0]
                 if traced:
                     F[s] = f
                 geodesic(q, multiply(g, step_scale, out=V), q_next)
-        gn = np.sqrt(np.vecdot(Gs, Gs))
-        ab = np.sort(np.abs(Qs[:w] if RT is None else AsT.transpose(0, 2, 1)), axis=-1)
-        top, second = ab[..., -1], ab[..., -2]
-        go = np.isfinite(gn) & (gn > tol)
+            np.sqrt(np.vecdot(Gs, Gs), out=gn)
+            # into the run frame by one (n, n) @ (n, 1) product per row and step, as in a one-row block
+            ab = np.sort(np.abs(Qs[:w] if RT is None else np.matmul(RT, Qs[:w, :, :, None])[..., 0]), axis=-1)
+            top = ab[..., -1]
+            w_inf[:] = ab[..., -2]
+            np.subtract(top / w_inf, 1.0, out=zeta)
+            np.sqrt(np.fmax(0.0, 2.0 - 2.0 * top), out=dist)
+        rules = np.empty((4,) + gn.shape, dtype=bool)  # each iterate's stop rules, in the order of _STATUSES
+        rules[0] = ~np.isfinite(gn)
         if traced:
-            go &= np.isfinite(F)
-            history.append(np.empty((4, w, len(traces))))
-            history[-1][:, :, rows] = F, gn, top, second
-        if ball is not None:
-            go &= ~_entered_ball(top, second, ball)
-        if t0 + w > cfg.max_iters:
-            go[-1] = False
-        at, stopped = np.argmin(go, axis=0), ~go.all(axis=0)  # each row's first stop in the window
-        for s in np.unique(at[stopped]).tolist():
-            stop = np.flatnonzero(stopped & (at == s))
+            rules[0] |= ~np.isfinite(F)
+        rules[1] = gn <= tol
+        rules[2] = _entered_ball(top, w_inf, ball)
+        rules[3] = (t0 + np.arange(w) >= cfg.max_iters)[:, None]
+        fired = rules.any(axis=0)
+        if traced:
+            history.append(np.empty((5, w, len(traces))))
+            history[-1][:, :, rows] = C
+        stopped, at = fired.any(axis=0), fired.argmax(axis=0)  # each row's first stop in the window
+        for k, s in zip(np.flatnonzero(stopped).tolist(), at[stopped].tolist()):
             t = t0 + s
-            vals = F[s, stop] if traced else objective(Qs[s, stop])[0]
-            for k, val in zip(stop, vals):
-                status = (STATUS_NAN if not (np.isfinite(val) and np.isfinite(gn[s, k]))
-                          else STATUS_GRAD if gn[s, k] <= tol
-                          else STATUS_BALL if ball is not None and _entered_ball(top[s, k], second[s, k], ball)
-                          else STATUS_MAX)
-                if traced:
-                    cols = np.concatenate([h[:, :, rows[k]] for h in history], axis=1)[:, : t + 1]
-                    iters, cols = np.arange(t + 1), cols.copy()
-                else:
-                    iters, cols = np.array([t]), np.array([[val], [gn[s, k]], [top[s, k]], [second[s, k]]])
-                traces[rows[k]] = _trace(iters, cols, status, Qs[s, k].copy())
+            if traced:
+                iters, row = np.arange(t + 1), np.concatenate([h[:, :, rows[k]] for h in history], axis=1)[:, : t + 1]
+            else:
+                F[s, k] = objective(Qs[s, k : k + 1])[0][0]
+                iters, row = np.array([t]), C[:, s, k : k + 1]
+            status = STATUS_NAN if not np.isfinite(F[s, k]) else _STATUSES[rules[:, s, k].argmax()]
+            traces[rows[k]] = DescentTrace(iters, *row.copy(), status, Qs[s, k].copy())
         Q, rows = Qs[w][~stopped], rows[~stopped]
         t0 += w
     return traces

@@ -160,6 +160,7 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-critical", "--n", "3", "--out", "{tmp}/afile"]),
         (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 2"), ["run-sep"]),
         (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 1"), ["run-sep"]),
+        (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 1e-320"), ["run-sep"]),
         (("zeta0 = 0.03", "zeta0 = 0.03\neta = 1e-300"), ["run-pr"]),
         (("zeta0 = 0.03", "zeta0 = 0.03\nc = 1e-300"), ["run-pr"]),
         (None, ["probe-fluctuation", "--n", "4", "--zeta", "1e300", "--p-list", "10"]),
@@ -215,6 +216,7 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "out-is-a-file",
         "config-sep-mu-2-without-r_or_s",
         "config-sep-mu-1-without-r_or_s",
+        "config-sep-mu-1e-320-without-r_or_s",
         "pr-eta-1e-300",
         "pr-c-1e-300",
         "fluctuation-zeta-1e300",

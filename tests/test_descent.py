@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheregd.datagen import gen_instance
+from spheregd.datagen import gen_instance, haar_orthogonal
 from spheregd.descent import (
     _WINDOW,
     BallStop,
@@ -121,19 +121,20 @@ def test_block_rows_match_one_row_runs():
         assert _same(tr_last.q_final, one.q_final)
 
 
-def _step_by_step(objective, q0, cfg, traced):
+def _step_by_step(objective, q0, cfg, traced, target_basis=None):
     """Reference for one row, a (1, n) block: the stop rules checked at each
     iterate before stepping, the meaning the engine's per-window checks keep.
     Returns the row's status, its trace columns (every iterate's, or the last
     one's when untraced) and the iterates it visited."""
     q = np.array(q0, dtype=float)[None]
+    RT = None if target_basis is None else np.asarray(target_basis).T
     tol, ball = cfg.stop_grad_tol, cfg.stop_ball
     assert ball is None or ball.norm == "linf"
     rec, visited = [], []
     for t in range(cfg.max_iters + 1):
         f, g = objective(q)
         gn = np.sqrt(np.vecdot(g, g))
-        ab = np.sort(np.abs(q), axis=-1)
+        ab = np.sort(np.abs(q if RT is None else (RT @ q.T).T), axis=-1)
         rec.append((f[0], gn[0], ab[0, -1], ab[0, -2]))
         visited.append(q[0].copy())
         in_ball = ball is not None and ab[0, -2] < ball.radius
@@ -153,9 +154,9 @@ def _step_by_step(objective, q0, cfg, traced):
     return status, (iters, f, gn, zeta, second, dist, q[0]), visited
 
 
-def _assert_matches_step_by_step(objective, q0, cfg, traced):
-    for q, tr in zip(q0, riemannian_gd_block(objective, q0, cfg, traced=traced)):
-        status, cols, _ = _step_by_step(objective, q, cfg, traced)
+def _assert_matches_step_by_step(objective, q0, cfg, traced, target_basis=None):
+    for q, tr in zip(q0, riemannian_gd_block(objective, q0, cfg, target_basis, traced=traced)):
+        status, cols, _ = _step_by_step(objective, q, cfg, traced, target_basis)
         assert tr.status == status
         for name, col in zip(_COLUMNS, cols):
             assert _same(getattr(tr, name), col), name
@@ -206,11 +207,15 @@ def test_rows_stop_at_every_offset_of_a_window(stop, traced):
     _assert_matches_step_by_step(oracle, q0, cfg, traced)
 
 
-@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize(
+    "traced, rotated", [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-rotated", "True-rotated"],
+)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_gradient_aborts_at_its_iteration_without_warnings(bad, traced):
+def test_non_finite_gradient_aborts_at_its_iteration_without_warnings(bad, traced, rotated):
     # rows step on through the rest of the window after the gradient turns
-    # non-finite; those steps are discarded and raise no floating-point warning
+    # non-finite; those steps, and their rotation into a target frame, are
+    # discarded and raise no floating-point warning
     n, mu = 6, 0.03
     inner = sep_objective(mu)
 
@@ -221,28 +226,34 @@ def test_non_finite_gradient_aborts_at_its_iteration_without_warnings(bad, trace
 
     rng = np.random.default_rng(3)
     q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(8)])
+    basis = haar_orthogonal(n, rng) if rotated else None
     cfg = DescentConfig(eta=0.01, max_iters=5000, stop_ball=BallStop(norm="linf", radius=mu * np.log(1.0 / mu)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traces = riemannian_gd_block(oracle, q0, cfg, traced=traced)
-        _assert_matches_step_by_step(oracle, q0, cfg, traced)
+        traces = riemannian_gd_block(oracle, q0, cfg, basis, traced=traced)
+        _assert_matches_step_by_step(oracle, q0, cfg, traced, basis)
     assert {tr.status for tr in traces} == {"aborted_nan"}
     assert any(int(tr.iters[-1]) % _WINDOW < _WINDOW - 1 for tr in traces)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 8), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1), st.data())
-def test_block_rows_do_not_depend_on_the_block(n, rows, traced, seed, data):
+@given(
+    st.integers(2, 8), st.integers(1, 8), st.booleans(), st.booleans(), st.sampled_from(["linf", "l2"]),
+    st.integers(0, 2**32 - 1), st.data(),
+)
+def test_block_rows_do_not_depend_on_the_block(n, rows, traced, rotated, norm, seed, data):
+    # with a target basis, each row's frame rotation must not depend on its block either
     mu = 0.05
     rng = np.random.default_rng(seed)
     q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(rows)])
-    ball = BallStop(norm="linf", radius=mu * np.log(1.0 / mu))
+    basis = haar_orthogonal(n, rng) if rotated else None
+    ball = BallStop(norm=norm, radius=mu * np.log(1.0 / mu))
     cfg = DescentConfig(eta=0.02, max_iters=100, stop_ball=ball)
-    whole = riemannian_gd_block(sep_objective(mu), q0, cfg, traced=traced)
+    whole = riemannian_gd_block(sep_objective(mu), q0, cfg, basis, traced=traced)
     perm = np.array(data.draw(st.permutations(range(rows))))
     cuts = sorted(data.draw(st.sets(st.integers(1, rows - 1), max_size=3))) if rows > 1 else []
     for part in np.split(perm, cuts):
-        for k, tr in zip(part, riemannian_gd_block(sep_objective(mu), q0[part], cfg, traced=traced)):
+        for k, tr in zip(part, riemannian_gd_block(sep_objective(mu), q0[part], cfg, basis, traced=traced)):
             assert tr.status == whole[k].status
             for name in _COLUMNS:
                 assert _same(getattr(tr, name), getattr(whole[k], name)), name
