@@ -32,7 +32,6 @@ from . import landscape, phase_retrieval
 from .datagen import gen_instance
 from .descent import (
     STATUS_BALL,
-    STATUS_MAX,
     STATUS_NAN,
     BallStop,
     DescentConfig,
@@ -259,10 +258,8 @@ def _run_pr_seeds(cfg, seeds):
     )
     results = []
     for seed, run in zip(seeds, exp.runs):
-        finite = math.isfinite(run.final_dist)  # the engine stops a run on a non-finite state
-        status = STATUS_NAN if not finite else STATUS_BALL if run.converged else STATUS_MAX
         final_f = float(phase_retrieval.pr_value(run.final_z, x))
-        summary = RunSummary(seed, run.iterations, final_f, run.final_dist, run.final_zeta, status)
+        summary = RunSummary(seed, run.iterations, final_f, run.final_dist, run.final_zeta, run.status)
         results.append((summary, None))
     extras = {
         "band_fraction": exp.band_fraction,

@@ -21,13 +21,14 @@ _PANEL_BYTES = 1 << 19  # Y per panel of dl_objective's pass: q'P leaves P in L2
 def check_mu(mu):
     """Validate the smoothing parameter.
 
-    Errors unless 0 < mu < inf (nan included); warns (does not error) at
-    mu >= 1/16, where the positivity guarantee for the outward gradient
+    Errors unless tiny <= mu < inf, tiny the smallest normal float (nan
+    included), since a subnormal mu overflows t / mu; warns (does not error)
+    at mu >= 1/16, where the positivity guarantee for the outward gradient
     projection no longer holds.  The warning has this one call site, so a
     probe that builds many objectives warns once under Python's default filter.
     """
-    if not 0.0 < mu < np.inf:
-        raise ValueError("mu must be positive and finite")
+    if not np.finfo(float).tiny <= mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, and not subnormal (below {np.finfo(float).tiny})")
     if mu >= 1.0 / 16.0:
         warnings.warn(f"mu = {mu} >= 1/16: outward-projection positivity is not guaranteed", RuntimeWarning)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import _WINDOW
+from .descent import _WINDOW, STATUS_BALL, STATUS_MAX, STATUS_NAN
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +58,13 @@ def _margin(ip, xn):
     return np.hypot(ip.real, ip.imag) / xn
 
 
-def _decompose_rows(Z, x, xn):
-    """Row-wise x^H z, zeta, phi and w of the points along Z's last axis, each
-    row with the bits of the scalar forms."""
-    ip = np.vecdot(x, Z)
+def _decompose_rows(Z, ip, x, xn):
+    """Row-wise zeta, phi and w of the points along Z's last axis, given their
+    x^H z, each row with the bits of the scalar forms."""
     zeta = _margin(ip, xn)
     phi = np.arctan2(ip.imag, ip.real) % (2.0 * math.pi)  # a tiny negative angle rounds to 2 pi
     phi = np.where((zeta > 0.0) & (phi < 2.0 * math.pi), phi, 0.0)
-    return ip, zeta, phi, Z - (zeta * np.exp(1j * phi))[..., None] * x / xn
+    return zeta, phi, Z - (zeta * np.exp(1j * phi))[..., None] * x / xn
 
 
 def _row_norms(W):
@@ -87,7 +86,7 @@ def _dist(z2, zeta, x2, xn):
 def pr_decompose(z, x):
     """Split z into its signal-aligned polar part and the orthogonal rest."""
     z, x, _, x2 = _norms(z, x)
-    _, zeta, phi, w = _decompose_rows(z, x, math.sqrt(x2))
+    zeta, phi, w = _decompose_rows(z, np.vecdot(x, z), x, math.sqrt(x2))
     return PRDecomposition(w=w, zeta=float(zeta), phi=float(phi))
 
 
@@ -105,10 +104,8 @@ def max_step_size(x, c):
 def sample_ball(n, radius, rng):
     """Uniform point in the complex n-ball of the given radius (the norm of
     the underlying real 2n-dimensional space)."""
-    g = rng.standard_normal((n, 2))
-    v = g[:, 0] + 1j * g[:, 1]
-    nv = float(np.linalg.norm(v))
-    while nv == 0.0:
+    nv = 0.0
+    while nv == 0.0:  # redraw the direction of a zero draw
         g = rng.standard_normal((n, 2))
         v = g[:, 0] + 1j * g[:, 1]
         nv = float(np.linalg.norm(v))
@@ -148,25 +145,28 @@ class PRTrajectory:
     final_zeta: float
     max_zeta_dev: float  # worst relative deviation of the zeta recurrence
     max_w_dev: float  # worst relative deviation of the ||w|| recurrence
+    status: str  # the first stop rule that holds at the last iterate
 
 
 def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     """Run descent from every row of the (B, n) block Z0 in lockstep, checking
     the exact scalar recurrences once per window of _WINDOW steps.
 
-    Row k stops once dist(z, solutions) < sqrt(5c)||x|| (unless
-    stop_at_target is off, for fixed-length identity probes), after
-    budgets[k] steps, or, before stepping, once ||z||^2 is not finite; such a
-    row ends with a non-finite final_dist.  The recurrences (zeta and ||w||
-    scale by known factors of ||z||^2) are verified against the recomputed
+    Row k stops at its first iterate where a stop rule holds: ||z||^2 is not
+    finite, dist(z, solutions) < sqrt(5c)||x|| (unless stop_at_target is off,
+    for fixed-length identity probes), or budgets[k] steps are taken.  Its
+    status is the first rule that holds there, in the sphere engine's order
+    "aborted_nan", "ball_entered", "max_iters"; converged tells whether the
+    row ever reached the target.  The recurrences (zeta and ||w|| scale by
+    known factors of ||z||^2) are verified against the recomputed
     decomposition; the comparison floor 1e-6 ||x|| keeps the orthogonal
     component out of pure cancellation noise once it has decayed to a scale
     the decomposition cannot resolve.
 
-    Inside a window step s only reads the iterate Zs[s] and writes Zs[s + 1];
-    the decomposition, the stop rules and the recurrence checks then run once
-    over the window's iterates.  A row stops at its first iterate where a rule
-    fires, its steps past it are discarded, and no step raises a
+    Inside a window step s only reads Zs[s] and its x^H z and writes Zs[s + 1]
+    and its x^H z, so x^H z is taken once per iterate; the decomposition, the
+    stop rules and the recurrence checks then run once over the window's
+    iterates.  A row's steps past its stop are discarded, and no step raises a
     floating-point warning.  A row leaves the block when it stops; rows never
     interact, so each row's run equals that of a one-row block bit for bit.
 
@@ -190,33 +190,37 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     converged = np.zeros(len(Z), dtype=bool)
     rows = np.arange(len(Z))  # caller's row index of each row still running
     runs = [None] * len(Z)
+    ip = np.vecdot(x, Z)  # x^H z of each running row's current iterate
     t0 = 0  # iteration of the window's first iterate
     with np.errstate(invalid="ignore", over="ignore"):  # a row may step on to non-finite values
         while rows.size:
             w = min(_WINDOW, int(budgets[rows].max()) + 1 - t0)
-            Zs, z2 = np.empty((w + 1,) + Z.shape, dtype=complex), np.empty((w, len(Z)))
-            Zs[0] = Z
+            Zs, IP = np.empty((w + 1,) + Z.shape, dtype=complex), np.empty((w + 1, len(Z)), dtype=complex)
+            z2 = np.empty((w, len(Z)))
+            Zs[0], IP[0] = Z, ip
             for s in range(w):
                 z2[s] = np.vecdot(Zs[s], Zs[s]).real
-                _step(Zs[s], z2[s], np.vecdot(x, Zs[s]), x, x2, eta, out=Zs[s + 1])
-            _, zeta, _, W = _decompose_rows(Zs, x, xn)
+                _step(Zs[s], z2[s], IP[s], x, x2, eta, out=Zs[s + 1])
+                IP[s + 1] = np.vecdot(x, Zs[s + 1])
+            zeta, _, W = _decompose_rows(Zs, IP, x, xn)
             wn = _row_norms(W)
             dist = _dist(z2, zeta[:w], x2, xn)
             conv = converged | np.logical_or.accumulate(dist < target, axis=0)
-            go = np.isfinite(z2) & (budgets[rows] > np.arange(t0, t0 + w)[:, None])
-            if stop_at_target:
-                go &= ~conv
-            at, stopped = np.argmin(go, axis=0), ~go.all(axis=0)  # each row's first stop in the window
+            budget_spent = np.arange(t0, t0 + w)[:, None] >= budgets[rows]
+            rules = np.stack([~np.isfinite(z2), conv & stop_at_target, budget_spent])  # in the order of the statuses
+            fired = rules.any(axis=0)
+            stopped, at = fired.any(axis=0), fired.argmax(axis=0)  # each row's first stop in the window
             zw = np.stack([zeta, wn])  # the recurrences predict zw[:, s + 1] from zw[:, s] and z2[s]
             pred = np.stack([1.0 - 2.0 * eta * (z2 - x2), 1.0 - eta * (2.0 * z2 - x2)]) * zw[:, :w]
             dev = np.abs(zw[:, 1:] - pred) / np.maximum(np.abs(pred), 1e-6 * xn)
             stepped = np.arange(w)[:, None] < np.where(stopped, at, w)
             stats = np.fmax(stats, np.fmax.reduce(dev, axis=1, where=stepped, initial=-np.inf))
-            for k in np.flatnonzero(stopped).tolist():
-                s = int(at[k])
+            for k, s in zip(np.flatnonzero(stopped).tolist(), at[stopped].tolist()):
                 end = Zs[s, k].copy(), float(dist[s, k]), float(zeta[s, k])  # final z, distance and zeta
-                runs[rows[k]] = PRTrajectory(t0 + s, bool(conv[s, k]), *end, *stats[:, k].tolist())
-            Z, converged, rows, stats = Zs[w][~stopped], conv[-1][~stopped], rows[~stopped], stats[:, ~stopped]
+                status = (STATUS_NAN, STATUS_BALL, STATUS_MAX)[rules[:, s, k].argmax()]
+                runs[rows[k]] = PRTrajectory(t0 + s, bool(conv[s, k]), *end, *stats[:, k].tolist(), status)
+            Z, ip, converged, rows = Zs[w][~stopped], IP[w][~stopped], conv[-1][~stopped], rows[~stopped]
+            stats = stats[:, ~stopped]
             t0 += w
     return runs
 
@@ -230,7 +234,6 @@ def pr_descend(z0, x, eta, c, max_iters, stop_at_target=True):
 class PRExperiment:
     runs: list
     total_draws: int
-    band_draws: int
     band_fraction: float
     band_bound: float  # sqrt(8/pi) erf(sqrt(2n) zeta0 / ||x||)
     success_fraction: float
@@ -262,7 +265,6 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     hopeless = law < 1.0 and -math.expm1(1e5 * math.log1p(-law)) < 1e-9
     starts, budgets = [], []
     total_draws = 0
-    band_draws = 0
     for stream in rngs:
         for _ in range(0 if hopeless else 100_000):  # a hopeless band raises below without drawing
             z0 = sample_ball(n, radius, stream)
@@ -270,7 +272,6 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
             zeta = float(_margin(np.vecdot(x, z0), xn))
             if zeta >= zeta0:
                 break
-            band_draws += 1
         else:
             raise ValueError(f"no start clears zeta0 = {zeta0} in 100000 draws: zeta0 is too large")
         budget = iteration_budget(x, eta, c, zeta)
@@ -281,8 +282,7 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     return PRExperiment(
         runs=runs,
         total_draws=total_draws,
-        band_draws=band_draws,
-        band_fraction=band_draws / total_draws,
+        band_fraction=(total_draws - len(rngs)) / total_draws,  # every draw but each run's last was rejected
         band_bound=band_bound,
         success_fraction=sum(r.converged for r in runs) / len(runs),
     )

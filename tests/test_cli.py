@@ -161,6 +161,9 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 2"), ["run-sep"]),
         (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 1"), ["run-sep"]),
         (("zeta0 = 0.1", "zeta0 = 0.1\nmu = 1e-320"), ["run-sep"]),
+        (None, ["probe-fluctuation", "--n", "4", "--mu", "1e-320", "--p-list", "10,20", "--trials", "2"]),
+        (("n = 6", "n = 4\nr_or_s = 0.1\nmu = 1e-320"), ["run-sep"]),
+        (("n = 6\np = 200", "n = 4\np = 50\nmu = 1e-320"), ["run-dl"]),
         (("zeta0 = 0.03", "zeta0 = 0.03\neta = 1e-300"), ["run-pr"]),
         (("zeta0 = 0.03", "zeta0 = 0.03\nc = 1e-300"), ["run-pr"]),
         (None, ["probe-fluctuation", "--n", "4", "--zeta", "1e300", "--p-list", "10"]),
@@ -217,6 +220,9 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "config-sep-mu-2-without-r_or_s",
         "config-sep-mu-1-without-r_or_s",
         "config-sep-mu-1e-320-without-r_or_s",
+        "fluctuation-mu-subnormal",
+        "config-sep-mu-subnormal",
+        "config-dl-mu-subnormal",
         "pr-eta-1e-300",
         "pr-c-1e-300",
         "fluctuation-zeta-1e300",
@@ -457,7 +463,8 @@ def test_run_pr_non_finite_run_exits_2(tmp_path, monkeypatch):
 
     def blow_up_first_row(*args, **kwargs):
         first, *rest = engine(*args, **kwargs)
-        return [replace(first, final_z=np.full_like(first.final_z, np.inf), final_dist=math.inf)] + rest
+        bad = replace(first, final_z=np.full_like(first.final_z, np.inf), final_dist=math.inf, status="aborted_nan")
+        return [bad] + rest
 
     monkeypatch.setattr(phase_retrieval, "pr_descend_block", blow_up_first_row)
     cfg = _write(tmp_path, "pr.cfg", PR_CFG)

@@ -378,7 +378,8 @@ def _signal_and_block(draw):
 def test_decompose_roundtrip_and_block_rows(case):
     x, Z = case
     xn = math.sqrt(np.vdot(x, x).real)
-    ip, zeta, phi, W = _decompose_rows(Z, x, xn)
+    ip = np.vecdot(x, Z)
+    zeta, phi, W = _decompose_rows(Z, ip, x, xn)
     for k, z in enumerate(Z):
         dec = pr_decompose(z, x)
         scale = max(1.0, float(np.linalg.norm(z)))
@@ -395,7 +396,8 @@ def test_decompose_roundtrip_and_block_rows(case):
 def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
     """The one-point loop written out with 1-D numpy calls: the reference the
     engine's row forms must reproduce bit for bit.  Returns the PRTrajectory
-    fields, then the initial and the smallest margin."""
+    fields, the status the first stop rule that holds in the order non-finite,
+    target, budget, then the initial and the smallest margin."""
 
     def decompose(z):
         ip = np.vdot(x, z)
@@ -408,14 +410,18 @@ def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
     xn = math.sqrt(x2)
     zeta, wn = decompose(z)
     zeta_init, min_zeta, max_zdev, max_wdev, converged = zeta, zeta, 0.0, 0.0, False
+    status = None
     for t in range(max_iters + 1):
         z2 = float(np.vdot(z, z).real)
         dist = math.sqrt(max(0.0, z2 + x2 - 2.0 * zeta * xn))
-        if dist < math.sqrt(5.0 * c) * xn:
-            converged = True
-            if stop_at_target:
-                break
-        if t == max_iters:
+        converged = converged or dist < math.sqrt(5.0 * c) * xn
+        if not math.isfinite(z2):
+            status = "aborted_nan"
+        elif converged and stop_at_target:
+            status = "ball_entered"
+        elif t == max_iters:
+            status = "max_iters"
+        if status:
             break
         pred_zeta = (1.0 - 2.0 * eta * (z2 - x2)) * zeta
         pred_wn = (1.0 - eta * (2.0 * z2 - x2)) * wn
@@ -424,7 +430,7 @@ def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
         max_zdev = max(max_zdev, abs(zeta - pred_zeta) / max(abs(pred_zeta), 1e-6 * xn))
         max_wdev = max(max_wdev, abs(wn - pred_wn) / max(abs(pred_wn), 1e-6 * xn))
         min_zeta = min(min_zeta, zeta)
-    return (t, converged, z, dist, zeta, max_zdev, max_wdev), (zeta_init, min_zeta)
+    return (t, converged, z, dist, zeta, max_zdev, max_wdev, status), (zeta_init, min_zeta)
 
 
 def _bits(values):
@@ -461,10 +467,11 @@ def test_block_rows_match_one_row_runs(n, signal):
                 assert min_zeta >= min(zeta_init, math.sqrt(7.0) / 4.0) * (1.0 - 1e-10)
             assert _bits([run.final_zeta]) == _bits([pr_decompose(run.final_z, x).zeta])
         if stop_at_target:
-            assert any(r.converged and r.iterations < b for r, b in zip(runs, budgets))
-            assert any(not r.converged and r.iterations == b for r, b in zip(runs, budgets))
+            assert any(r.status == "ball_entered" and r.iterations < b for r, b in zip(runs, budgets))
+            assert any(r.status == "max_iters" and r.iterations == b for r, b in zip(runs, budgets))
         else:
             assert [r.iterations for r in runs] == budgets
+            assert {r.status for r in runs} == {"max_iters"} and any(r.converged for r in runs)
 
 
 def _run_fields(run):
@@ -481,11 +488,14 @@ def test_rows_reach_the_target_at_every_offset_of_a_window():
     hit = pr_descend(z0, x, eta, c, 10_000)
     assert hit.converged and hit.iterations > 2 * _WINDOW
     starts = np.array([pr_descend(z0, x, eta, c, j, stop_at_target=False).final_z for j in range(_WINDOW + 3)])
-    runs = pr_descend_block(starts, x, eta, c, [10_000] * len(starts))
+    budgets = [10_000] * len(starts)
+    budgets[-1] = hit.iterations - (len(starts) - 1)  # the last row's target and budget fire at one iterate
+    runs = pr_descend_block(starts, x, eta, c, budgets)
     assert [r.iterations for r in runs] == [hit.iterations - j for j in range(len(starts))]
     assert {r.iterations % _WINDOW for r in runs} == set(range(_WINDOW))
-    for z, run in zip(starts, runs):
-        assert _run_fields(run) == _bits(_scalar_descend(z, x, eta, c, 10_000, True)[0])
+    assert {r.status for r in runs} == {"ball_entered"}  # the target rule comes before the budget
+    for z, budget, run in zip(starts, budgets, runs):
+        assert _run_fields(run) == _bits(_scalar_descend(z, x, eta, c, budget, True)[0])
 
 
 def test_converged_stays_set_in_later_windows():
@@ -532,7 +542,7 @@ def test_descend_stops_on_non_finite_state():
     with np.errstate(over="ignore", invalid="ignore"):
         run = pr_descend(z0, x, 250.0 * max_step_size(x, 0.1), 0.1, 1000)
     assert run.iterations < 1000 and not run.converged
-    assert not math.isfinite(run.final_dist)
+    assert run.status == "aborted_nan" and not math.isfinite(run.final_dist)
 
 
 @settings(max_examples=30, deadline=None)
