@@ -252,15 +252,11 @@ def _run_pr_seeds(cfg, seeds):
     """The phase-retrieval seeds as one experiment, without traces; its band
     statistics pool the draws of every seed."""
     x = _pr_signal(cfg.n, cfg.c)[0]
-    exp = phase_retrieval.pr_experiment(
-        cfg.n, x, cfg.eta, cfg.c, cfg.zeta0, [np.random.default_rng(s) for s in seeds],
-        max_iters=cfg.max_iters,
-    )
-    results = []
-    for seed, run in zip(seeds, exp.runs):
-        final_f = float(phase_retrieval.pr_value(run.final_z, x))
-        summary = RunSummary(seed, run.iterations, final_f, run.final_dist, run.final_zeta, run.status)
-        results.append((summary, None))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    exp = phase_retrieval.pr_experiment(cfg.n, x, cfg.eta, cfg.c, cfg.zeta0, rngs, max_iters=cfg.max_iters)
+    final_f = phase_retrieval.pr_value(np.array([run.final_z for run in exp.runs]), x).tolist()
+    results = [(RunSummary(seed, run.iterations, f, run.final_dist, run.final_zeta, run.status), None)
+               for seed, run, f in zip(seeds, exp.runs, final_f)]
     extras = {
         "band_fraction": exp.band_fraction,
         "band_bound": exp.band_bound,
@@ -485,8 +481,8 @@ def _cmd_probe_critical(args):
 def _cmd_probe_pr_identities(args):
     if args.n < 2:
         raise ValueError("--n must be >= 2")
-    if args.steps < 1:
-        raise ValueError("--steps must be >= 1")
+    if not 1 <= args.steps < 2**63:  # the engine counts steps in int64
+        raise ValueError("--steps must be from 1 to 2**63 - 1")
     rng = np.random.default_rng(args.seed)
     x, eta = _pr_signal(args.n, args.c)
     z0 = phase_retrieval.sample_ball(args.n, 1.0 / math.sqrt(2.0), rng)

@@ -38,19 +38,22 @@ def _signal(x):
     return x, x2
 
 
-def _norms(z, x):
+def _points(z, x, ndims=(1,)):
     x, x2 = _signal(x)
     z = np.asarray(z, dtype=complex)
-    if x.shape != z.shape:
+    if z.shape[-1:] != x.shape or z.ndim not in ndims:
         raise ValueError("z and x must have the same length")
-    return z, x, float(np.vdot(z, z).real), x2
+    return z, x, x2
 
 
 def pr_value(z, x):
-    """Objective value ||x||^4 + ||z||^4 - ||x||^2||z||^2 - |x^H z|^2."""
-    z, x, z2, x2 = _norms(z, x)
-    ip = np.vdot(x, z)
-    return float(x2 * x2 + z2 * z2 - x2 * z2 - (ip * ip.conjugate()).real)
+    """Objective value ||x||^4 + ||z||^4 - ||x||^2||z||^2 - |x^H z|^2 of a
+    point, or of each row of a (B, n) block with the bits of its one-row call."""
+    z, x, x2 = _points(z, x, (1, 2))
+    z2, ip = np.vecdot(z, z).real, np.vecdot(x, z)
+    # |x^H z|^2 as the scalar ip * conj(ip) rounds it, which an array's product may not
+    value = x2 * x2 + z2 * z2 - x2 * z2 - (ip.real * ip.real - ip.imag * -ip.imag)
+    return float(value) if z.ndim == 1 else value
 
 
 def _margin(ip, xn):
@@ -85,7 +88,7 @@ def _dist(z2, zeta, x2, xn):
 
 def pr_decompose(z, x):
     """Split z into its signal-aligned polar part and the orthogonal rest."""
-    z, x, _, x2 = _norms(z, x)
+    z, x, x2 = _points(z, x)
     zeta, phi, w = _decompose_rows(z, np.vecdot(x, z), x, math.sqrt(x2))
     return PRDecomposition(w=w, zeta=float(zeta), phi=float(phi))
 
@@ -109,16 +112,27 @@ def sample_ball(n, radius, rng):
         g = rng.standard_normal((n, 2))
         v = g[:, 0] + 1j * g[:, 1]
         nv = float(np.linalg.norm(v))
-    u = rng.random()
-    return (radius * u ** (1.0 / (2.0 * n)) / nv) * v
+    return (radius * rng.random() ** (1.0 / (2.0 * n)) / nv) * v
 
 
-def iteration_budget(x, eta, c, zeta_init):
+def sample_balls(n, radius, rngs):
+    """One sample_ball point per generator as a (B, n) block: each generator
+    draws in sample_ball's order, and each row has sample_ball's bits."""
+    G = np.array([rng.standard_normal((n, 2)) for rng in rngs])
+    nv = _row_norms(V := G[..., 0] + 1j * G[..., 1])
+    scale = [radius * rng.random() ** (1.0 / (2.0 * n)) / v if v else 0.0 for rng, v in zip(rngs, nv.tolist())]
+    Z = np.array(scale)[:, None] * V
+    for k in np.flatnonzero(nv == 0.0):  # a zero direction is drawn again before its uniform
+        Z[k] = sample_ball(n, radius, rngs[k])
+    return Z
+
+
+def iteration_budgets(x, eta, c, zetas):
     """Worst-case iteration count to reach dist(z, solutions) < sqrt(5c)||x||
-    from margin zeta_init: a geometric escape out of the low-margin band, a
-    crossing of the middle shell, and a contraction of ||w|| with re-entry
-    slack."""
-    if not (0.0 < eta < math.inf and 0.0 < zeta_init < math.inf):
+    from each margin in zetas: a geometric escape out of the low-margin band,
+    then a crossing of the middle shell and a contraction of ||w|| with
+    re-entry slack, the two terms that do not depend on the margin."""
+    if not (0.0 < eta < math.inf and all(0.0 < z < math.inf for z in zetas)):
         raise ValueError("eta and zeta_init must be positive and finite")
     _check_c(c)
     x2 = _signal(x)[1]
@@ -126,14 +140,12 @@ def iteration_budget(x, eta, c, zeta_init):
     rates = math.log1p(a), math.log1p(2.0 * c * a), math.log1p(-(1.0 - 2.0 * c) * a)
     if 0.0 in rates:
         raise ValueError("eta ||x||^2 or c eta ||x||^2 rounds to 0: no finite iteration budget")
-    t1 = max(0.0, math.log(math.sqrt(x2) / (zeta_init * math.sqrt(2.0))) / rates[0])
     t2 = math.log(2.0) / (2.0 * rates[1])
-    t34 = math.log(2.0 * c) / rates[2]
-    tr = math.log(4.0 / math.sqrt(7.0)) / rates[1]
-    total = t1 + t2 + t34 * tr
-    if not math.isfinite(total):
+    t34_tr = math.log(2.0 * c) / rates[2] * (math.log(4.0 / math.sqrt(7.0)) / rates[1])
+    totals = [max(0.0, math.log(math.sqrt(x2) / (z * math.sqrt(2.0))) / rates[0]) + t2 + t34_tr for z in zetas]
+    if not all(map(math.isfinite, totals)):
         raise ValueError("the iteration budget overflows: eta, c or zeta_init is too small")
-    return int(math.ceil(total)) + 1
+    return [int(math.ceil(total)) + 1 for total in totals]
 
 
 @dataclass
@@ -180,9 +192,9 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
         raise ValueError("eta must be positive and finite")
     _check_c(c)
     b = np.asarray(budgets)
-    whole = b.dtype.kind in "iuf" and np.all(np.isfinite(b) & (b == np.trunc(b)) & (b >= 0))
-    if b.shape != Z.shape[:1] or not whole:
-        raise ValueError("need one whole iteration budget >= 0 per start")
+    whole = b.dtype.kind in "iuf" and np.all(np.isfinite(b) & (b == np.trunc(b)) & (b >= 0) & (b < 2**63))
+    if b.shape != Z.shape[:1] or not whole:  # steps are counted in int64
+        raise ValueError("need one whole iteration budget from 0 to 2**63 - 1 per start")
     budgets = b.astype(int)
     xn = math.sqrt(x2)
     target = math.sqrt(5.0 * c) * xn
@@ -215,10 +227,11 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
             dev = np.abs(zw[:, 1:] - pred) / np.maximum(np.abs(pred), 1e-6 * xn)
             stepped = np.arange(w)[:, None] < np.where(stopped, at, w)
             stats = np.fmax(stats, np.fmax.reduce(dev, axis=1, where=stepped, initial=-np.inf))
-            for k, s in zip(np.flatnonzero(stopped).tolist(), at[stopped].tolist()):
-                end = Zs[s, k].copy(), float(dist[s, k]), float(zeta[s, k])  # final z, distance and zeta
-                status = (STATUS_NAN, STATUS_BALL, STATUS_MAX)[rules[:, s, k].argmax()]
-                runs[rows[k]] = PRTrajectory(t0 + s, bool(conv[s, k]), *end, *stats[:, k].tolist(), status)
+            k, s = np.flatnonzero(stopped), at[stopped]  # each stopped row and its last iterate
+            ends = zip(rows[k].tolist(), (t0 + s).tolist(), conv[s, k].tolist(), Zs[s, k], dist[s, k].tolist(),
+                       zeta[s, k].tolist(), *stats[:, k].tolist(), rules[:, s, k].argmax(axis=0).tolist())
+            for row, *end, rule in ends:
+                runs[row] = PRTrajectory(*end, (STATUS_NAN, STATUS_BALL, STATUS_MAX)[rule])
             Z, ip, converged, rows = Zs[w][~stopped], IP[w][~stopped], conv[-1][~stopped], rows[~stopped]
             stats = stats[:, ~stopped]
             t0 += w
@@ -243,9 +256,11 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
     """Descent from uniform-in-ball starts conditioned on margin >= zeta0.
 
     Each run draws fresh starts from its own generator in rngs (up to 1e5
-    draws) until the margin clears zeta0, and none at all when the exact start
-    law P(margin >= zeta0) = (1 - 2 zeta0^2/||x||^2)^n gives a chance below
-    1e-9 of clearing it in 1e5 draws; rejected draws are tallied, so the
+    draws) until the margin clears zeta0: the first draws as one block, then
+    each rejected start alone, in the order of rngs (a generator that runs
+    out raises, every later one having drawn once).  None draws when the exact
+    start law P(margin >= zeta0) = (1 - 2 zeta0^2/||x||^2)^n gives a chance
+    below 1e-9 of clearing it in 1e5 draws; rejected draws are tallied, so the
     reported band_fraction estimates the chance that a raw uniform start
     lands in the low-margin initialization-failure band.  The accepted starts
     then descend as one block, each with the worst-case iteration budget for
@@ -262,28 +277,29 @@ def pr_experiment(n, x, eta, c, zeta0, rngs, max_iters=None):
         raise ValueError("zeta0 must sit inside the starting ball")
     radius = xn / math.sqrt(2.0)
     law = (1.0 - 2.0 * zeta0 * zeta0 / x2) ** n  # a law that rounds to 1 clears at the first draw
-    hopeless = law < 1.0 and -math.expm1(1e5 * math.log1p(-law)) < 1e-9
-    starts, budgets = [], []
-    total_draws = 0
-    for stream in rngs:
-        for _ in range(0 if hopeless else 100_000):  # a hopeless band raises below without drawing
-            z0 = sample_ball(n, radius, stream)
+    too_large = ValueError(f"no start clears zeta0 = {zeta0} in 100000 draws: zeta0 is too large")
+    if law < 1.0 and -math.expm1(1e5 * math.log1p(-law)) < 1e-9:  # hopeless: fail without drawing
+        raise too_large
+    starts = sample_balls(n, radius, rngs)  # every generator's first draw
+    zetas = _margin(np.vecdot(x, starts), xn).tolist()
+    total_draws = len(rngs)
+    for k in [k for k, zeta in enumerate(zetas) if zeta < zeta0]:  # redraw rejected starts in seed order
+        for _ in range(99_999):
+            z0 = sample_ball(n, radius, rngs[k])
             total_draws += 1
             zeta = float(_margin(np.vecdot(x, z0), xn))
             if zeta >= zeta0:
                 break
         else:
-            raise ValueError(f"no start clears zeta0 = {zeta0} in 100000 draws: zeta0 is too large")
-        budget = iteration_budget(x, eta, c, zeta)
-        starts.append(z0)
-        budgets.append(budget if max_iters is None else min(budget, max_iters))
-    runs = pr_descend_block(starts, x, eta, c, budgets)
-    band_bound = math.sqrt(8.0 / math.pi) * math.erf(math.sqrt(2.0 * n) * zeta0 / xn)
+            raise too_large
+        starts[k], zetas[k] = z0, zeta
+    budgets = iteration_budgets(x, eta, c, zetas)
+    runs = pr_descend_block(starts, x, eta, c, [b if max_iters is None else min(b, max_iters) for b in budgets])
     return PRExperiment(
         runs=runs,
         total_draws=total_draws,
         band_fraction=(total_draws - len(rngs)) / total_draws,  # every draw but each run's last was rejected
-        band_bound=band_bound,
+        band_bound=math.sqrt(8.0 / math.pi) * math.erf(math.sqrt(2.0 * n) * zeta0 / xn),
         success_fraction=sum(r.converged for r in runs) / len(runs),
     )
 
@@ -300,9 +316,7 @@ def region_invariance_check(x, c, eta, num_states, rng):
         raise ValueError("eta must be positive and below sqrt(c)/(4||x||^2)")
     n = x.size
     radius = math.sqrt((1.0 + c) * x2)
-    union_bad = 0
-    s1_bad = 0
-    done = 0
+    union_bad = s1_bad = done = 0
     while done < num_states:
         m = int(min(50_000, num_states - done))  # the block size fixes a seed's draws
         g = rng.standard_normal((m, 2 * n))

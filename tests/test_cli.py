@@ -130,6 +130,8 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-projection", "--n", "6", "--zetas", "100", "--samples", "2"]),
         (None, ["probe-pr-identities", "--n", "0"]),
         (None, ["probe-pr-identities", "--n", "4", "--steps", "-1"]),
+        (None, ["probe-pr-identities", "--n", "3", "--steps", "10000000000000000000"]),
+        (None, ["probe-pr-identities", "--n", "3", "--steps", "100000000000000000000"]),
         (("zeta0 = 0.03", "zeta0 = 0.7"), ["run-pr"]),
         (None, ["probe-volume", "--n", "x", "--zeta", "0"]),
         (None, ["probe-volume", "--zeta", "0"]),
@@ -189,6 +191,8 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "projection-no-coordinate-over-floor",
         "pr-identities-n0",
         "pr-identities-steps-negative",
+        "pr-identities-steps-past-int64",
+        "pr-identities-steps-past-uint64",
         "pr-zeta0-near-start-radius",
         "usage-volume-n-not-an-int",
         "usage-volume-n-missing",

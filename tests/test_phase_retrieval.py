@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spheregd import phase_retrieval
 from spheregd.descent import _WINDOW
 from spheregd.phase_retrieval import (
     _decompose_rows,
-    iteration_budget,
+    iteration_budgets,
     max_step_size,
     pr_decompose,
     pr_descend,
@@ -20,6 +21,7 @@ from spheregd.phase_retrieval import (
     pr_value,
     region_invariance_check,
     sample_ball,
+    sample_balls,
 )
 
 PR_IDENTITY_RTOL = 1e-10  # relative tolerance of the exact zeta / ||w|| update identities
@@ -228,9 +230,30 @@ def test_iteration_budget_positive_and_monotone():
     x[0] = 1.0
     c = 1.0 / 35.0
     eta = 0.9 * max_step_size(x, c)
-    b1 = iteration_budget(x, eta, c, 0.2)
-    b2 = iteration_budget(x, eta, c, 0.02)
+    b1, b2 = iteration_budgets(x, eta, c, [0.2, 0.02])
     assert 0 < b1 < b2
+
+
+def _one_budget(x2, eta, c, zeta_init):
+    # the one-margin budget as a sum of its three terms, in that order
+    a = eta * x2
+    rates = math.log1p(a), math.log1p(2.0 * c * a), math.log1p(-(1.0 - 2.0 * c) * a)
+    t1 = max(0.0, math.log(math.sqrt(x2) / (zeta_init * math.sqrt(2.0))) / rates[0])
+    t2 = math.log(2.0) / (2.0 * rates[1])
+    t34 = math.log(2.0 * c) / rates[2]
+    tr = math.log(4.0 / math.sqrt(7.0)) / rates[1]
+    return int(math.ceil(t1 + t2 + t34 * tr)) + 1
+
+
+def test_budgets_of_a_batch_equal_one_margin_budgets():
+    rng = np.random.default_rng(12)
+    for n, norm in ((2, 1.0), (8, 1.0), (5, 2.7)):
+        x = _rand_signal(n, rng, norm)
+        x2 = np.vdot(x, x).real
+        for c in (1.0 / 35.0, 0.2):
+            eta = 0.95 * max_step_size(x, c)
+            zetas = (norm * 10.0 ** rng.uniform(-12.0, 0.0, 500)).tolist()
+            assert iteration_budgets(x, eta, c, zetas) == [_one_budget(x2, eta, c, z) for z in zetas]
 
 
 _BUDGET_EDGES = [1e-300, 1e-8, math.inf, math.nan]
@@ -245,7 +268,7 @@ _BUDGET_EDGES = [1e-300, 1e-8, math.inf, math.nan]
 def test_iteration_budget_is_a_positive_int_or_a_value_error(eta, c, zeta_init):
     # eta or c of 1e-300 makes a log1p rate 0 or the total infinite
     try:
-        budget = iteration_budget(np.eye(4, dtype=complex)[0], eta, c, zeta_init)
+        [budget] = iteration_budgets(np.eye(4, dtype=complex)[0], eta, c, [zeta_init])
     except ValueError:
         return
     assert type(budget) is int and budget > 0
@@ -275,11 +298,112 @@ def test_experiment_rejects_empty_rngs():
 def test_experiment_fails_fast_on_a_hopeless_band(n, zeta0, draws):
     x = np.eye(n, dtype=complex)[0]
     c = 1.0 / 35.0
-    rngs = np.random.default_rng(4).spawn(1 if draws else 2)
-    before = [g.bit_generator.state for g in rngs]
+    rngs, twins = np.random.default_rng(4).spawn(4), np.random.default_rng(4).spawn(4)
     with pytest.raises(ValueError, match="no start clears zeta0"):
         pr_experiment(n, x, 0.95 * max_step_size(x, c), c, zeta0, rngs)
-    assert ([g.bit_generator.state for g in rngs] != before) == draws
+    assert (rngs[0].bit_generator.state != twins[0].bit_generator.state) == draws
+    if draws:  # the first generator runs out of draws; each later one has drawn its first start only
+        for g in twins[1:]:
+            sample_ball(n, 1.0 / math.sqrt(2.0), g)
+    assert [g.bit_generator.state for g in rngs[1:]] == [g.bit_generator.state for g in twins[1:]]
+
+
+class _ZeroFirst:
+    """A generator whose first normals are all 0."""
+
+    def __init__(self, seed):
+        self.rng, self.fresh = np.random.default_rng(seed), True
+
+    def standard_normal(self, shape):
+        fresh, self.fresh = self.fresh, False
+        return np.zeros(shape) if fresh else self.rng.standard_normal(shape)
+
+    def random(self):
+        return self.rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 9, 33])
+def test_sample_balls_rows_are_sample_ball_draws(n):
+    # each row, and each generator's state after it, as a loop of sample_ball
+    # over the generators gives them; two generators start with a zero direction
+    def gens():
+        return [_ZeroFirst(s) if s in (0, 57) else np.random.default_rng([n, s]) for s in range(120)]
+
+    rngs, twins = gens(), gens()
+    block = sample_balls(n, 0.7, rngs)
+    assert _bits(block) == _bits(sample_ball(n, 0.7, g) for g in twins)
+    assert [getattr(g, "rng", g).bit_generator.state for g in rngs] == [
+        getattr(g, "rng", g).bit_generator.state for g in twins
+    ]
+
+
+def _loop_starts(n, zeta0, rngs):
+    # one generator after another, sample_ball until a start's margin about x = e1 clears zeta0
+    starts, zetas = [], []
+    for g in rngs:
+        zeta = -1.0
+        while zeta < zeta0:
+            z0 = sample_ball(n, 1.0 / math.sqrt(2.0), g)
+            ip = np.vdot(np.eye(n, dtype=complex)[0], z0)
+            zeta = float(np.hypot(ip.real, ip.imag))
+        starts.append(z0)
+        zetas.append(zeta)
+    return starts, zetas
+
+
+@pytest.mark.parametrize(
+    "n, zeta0, max_iters",
+    [
+        (8, 0.025, None),  # the gate-10 band: about one start in 100 is redrawn, here 2 of 200
+        (8, 0.2, 40),  # about half are redrawn, some several times; the cap binds
+        (3, 0.45, None),
+    ],
+)
+def test_experiment_starts_are_drawn_one_generator_after_another(monkeypatch, n, zeta0, max_iters):
+    x = np.eye(n, dtype=complex)[0]
+    c = 1.0 / 35.0
+    eta = 0.95 * max_step_size(x, c)
+    engine, seen = phase_retrieval.pr_descend_block, {}
+
+    def record(Z0, *args):
+        seen.update(starts=Z0, budgets=list(args[3]))
+        return engine(Z0, *args)
+
+    monkeypatch.setattr(phase_retrieval, "pr_descend_block", record)
+    rngs, twins = np.random.default_rng(31).spawn(200), np.random.default_rng(31).spawn(200)
+    exp = pr_experiment(n, x, eta, c, zeta0, rngs, max_iters)
+    starts, zetas = _loop_starts(n, zeta0, twins)
+    assert _bits(seen["starts"]) == _bits(starts)
+    budgets = [_one_budget(1.0, eta, c, z) for z in zetas]
+    assert seen["budgets"] == [b if max_iters is None else min(b, max_iters) for b in budgets]
+    assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in twins]
+    redrawn = exp.total_draws - len(rngs)
+    assert redrawn >= 1 and (zeta0 < 0.1 or redrawn > 50)
+
+
+def _one_value(z, x):
+    # the one-point value with |x^H z|^2 as the scalar complex product
+    z2, x2, ip = np.vdot(z, z).real, np.vdot(x, x).real, np.vdot(x, z)
+    return float(x2 * x2 + z2 * z2 - x2 * z2 - (ip * ip.conjugate()).real)
+
+
+@pytest.mark.parametrize("signal", ["e1", "random"])
+def test_value_of_a_block_is_each_rows_value(signal):
+    # final iterates of converged and of capped runs; an array's
+    # (ip * conj(ip)).real rounds unlike the scalar product in some of these rows
+    n, c = 8, 1.0 / 35.0
+    x = _rand_signal(n, np.random.default_rng(3)) if signal == "random" else np.eye(n, dtype=complex)[0]
+    eta = 0.95 * max_step_size(x, c)
+    Z = np.array([
+        r.final_z
+        for cap in (None, 30, 60)
+        for r in pr_experiment(n, x, eta, c, 0.025, np.random.default_rng(7).spawn(1000), cap).runs
+    ])
+    block = pr_value(Z, x)
+    assert block.shape == (3000,)
+    assert _bits(block) == _bits(pr_value(z, x) for z in Z) == _bits(_one_value(z, x) for z in Z)
+    with pytest.raises(ValueError, match="same length"):
+        pr_value(Z[None], x)
 
 
 _Z = np.full(3, 0.1 + 0.2j)
@@ -291,7 +415,7 @@ _Z = np.full(3, 0.1 + 0.2j)
         pytest.param(lambda x: pr_value(_Z, x), id="pr_value"),
         pytest.param(lambda x: pr_decompose(_Z, x), id="pr_decompose"),
         pytest.param(lambda x: max_step_size(x, 0.1), id="max_step_size"),
-        pytest.param(lambda x: iteration_budget(x, 0.01, 0.1, 0.2), id="iteration_budget"),
+        pytest.param(lambda x: iteration_budgets(x, 0.01, 0.1, [0.2]), id="iteration_budget"),
         pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, 5), id="pr_descend"),
         pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5, 5]), id="pr_descend_block"),
         pytest.param(
@@ -312,7 +436,7 @@ def test_zero_signal_is_rejected(call):
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda x, eta: iteration_budget(x, eta, 1.0 / 35.0, 0.05), id="iteration_budget"),
+        pytest.param(lambda x, eta: iteration_budgets(x, eta, 1.0 / 35.0, [0.05]), id="iteration_budget"),
         pytest.param(lambda x, eta: pr_descend(_Z, x, eta, 0.1, 5), id="pr_descend"),
         pytest.param(lambda x, eta: pr_descend_block([_Z, _Z], x, eta, 0.1, [5, 5]), id="pr_descend_block"),
         pytest.param(
@@ -334,7 +458,7 @@ def test_non_positive_eta_is_rejected(call, eta):
     "call",
     [
         pytest.param(lambda x, c: max_step_size(x, c), id="max_step_size"),
-        pytest.param(lambda x, c: iteration_budget(x, 0.01, c, 0.05), id="iteration_budget"),
+        pytest.param(lambda x, c: iteration_budgets(x, 0.01, c, [0.05]), id="iteration_budget"),
         pytest.param(lambda x, c: pr_descend(_Z, x, 0.01, c, 5), id="pr_descend"),
         pytest.param(lambda x, c: pr_descend_block([_Z, _Z], x, 0.01, c, [5, 5]), id="pr_descend_block"),
         pytest.param(lambda x, c: pr_experiment(3, x, 0.01, c, 0.05, [np.random.default_rng(0)]), id="pr_experiment"),
@@ -356,11 +480,25 @@ def test_c_outside_a_quarter_is_rejected(call, c):
         pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5, 2.7]), id="pr_descend_block-fraction"),
         pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5, math.inf]), id="pr_descend_block-inf"),
         pytest.param(lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5]), id="pr_descend_block-one-for-two"),
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, 10**19), id="pr_descend-past-int64"),
+        pytest.param(lambda x: pr_descend(_Z, x, 0.01, 0.1, 10**20), id="pr_descend-past-uint64"),
+        pytest.param(
+            lambda x: pr_descend_block([_Z, _Z], x, 0.01, 0.1, [5, 2.0**63]), id="pr_descend_block-float-2**63"
+        ),
     ],
 )
 def test_bad_budget_is_rejected(call):
     with pytest.raises(ValueError, match="whole iteration budget"):
         call(np.array([1.0, 0.0, 0.0], complex))
+
+
+def test_budget_past_int64_is_named_and_the_largest_int64_runs():
+    x = np.array([1.0, 0.0, 0.0], complex)
+    for budget in (2**63, 10**19, 10**20):
+        with pytest.raises(ValueError, match=r"from 0 to 2\*\*63 - 1"):
+            pr_descend(_Z, x, 0.01, 0.1, budget)
+    run = pr_descend(x, x, 0.01, 0.1, 2**63 - 1)  # at the target from the start
+    assert (run.iterations, run.status) == (0, "ball_entered")
 
 
 @st.composite
