@@ -29,8 +29,8 @@ class BallStop:
     signed target.
     """
 
-    norm: str = "linf"
-    radius: float = 0.0
+    norm: str
+    radius: float
 
     def __post_init__(self):
         if self.norm not in ("linf", "l2"):

@@ -156,12 +156,12 @@ def projection_scan(n, mu, zetas, samples_per_zeta, rng):
     thr = mu * np.log(1.0 / mu)
     rows = []
     for z in zetas:
-        if z <= 0.0:
-            raise ValueError("projection_scan needs zeta > 0")
         for _ in range(samples_per_zeta):
             d = rng.standard_normal(n - 1)
             w = scale_to_zeta(d, z)
             winf = float(np.max(np.abs(w)))
+            if not winf * z >= np.finfo(float).tiny:  # |slope| <= 2 then keeps slope / (winf zeta) finite
+                raise ValueError(f"projection_scan needs zeta > 0 with ||w||_inf zeta not subnormal: zeta = {z}")
             for i in range(n - 1):
                 if abs(w[i]) >= thr:
                     q, u = outward_direction(w, i)

@@ -21,14 +21,16 @@ _PANEL_BYTES = 1 << 19  # Y per panel of dl_objective's pass: q'P leaves P in L2
 def check_mu(mu):
     """Validate the smoothing parameter.
 
-    Errors unless tiny <= mu < inf, tiny the smallest normal float (nan
-    included), since a subnormal mu overflows t / mu; warns (does not error)
-    at mu >= 1/16, where the positivity guarantee for the outward gradient
-    projection no longer holds.  The warning has this one call site, so a
-    probe that builds many objectives warns once under Python's default filter.
+    Errors (nan included) unless tiny <= mu < sqrt(max float), tiny the
+    smallest normal float, as a subnormal mu overflows t / mu and a larger
+    one mu^2; warns (does not error) at mu >= 1/16, where the positivity
+    guarantee for the outward gradient projection no longer holds.  The
+    warning has this one call site, so a probe that builds many objectives
+    warns once under Python's default filter.
     """
-    if not np.finfo(float).tiny <= mu < np.inf:
-        raise ValueError(f"mu must be positive and finite, and not subnormal (below {np.finfo(float).tiny})")
+    tiny, top = np.finfo(float).tiny, np.sqrt(np.finfo(float).max)
+    if not tiny <= mu < top:
+        raise ValueError(f"mu must be positive and finite, not subnormal (below {tiny}) and below {top}")
     if mu >= 1.0 / 16.0:
         warnings.warn(f"mu = {mu} >= 1/16: outward-projection positivity is not guaranteed", RuntimeWarning)
 

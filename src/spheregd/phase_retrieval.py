@@ -61,13 +61,11 @@ def _margin(ip, xn):
     return np.hypot(ip.real, ip.imag) / xn
 
 
-def _decompose_rows(Z, ip, x, xn):
-    """Row-wise zeta, phi and w of the points along Z's last axis, given their
-    x^H z, each row with the bits of the scalar forms."""
-    zeta = _margin(ip, xn)
-    phi = np.arctan2(ip.imag, ip.real) % (2.0 * math.pi)  # a tiny negative angle rounds to 2 pi
-    phi = np.where((zeta > 0.0) & (phi < 2.0 * math.pi), phi, 0.0)
-    return zeta, phi, Z - (zeta * np.exp(1j * phi))[..., None] * x / xn
+def _orthogonal(Z, ip, x, x2):
+    """w = z - (x^H z) x / ||x||^2 of each point along Z's last axis, given
+    its x^H z, as a product with x / ||x||^2: numpy's scalar and array complex
+    divisions round differently.  For x = e1, w[0] is exactly 0."""
+    return Z - ip[..., None] * (x / x2)
 
 
 def _row_norms(W):
@@ -81,16 +79,13 @@ def _step(Z, z2, ip, x, x2, eta, out=None):
     return np.subtract(Z, eta * ((2.0 * z2 - x2)[..., None] * Z - ip[..., None] * x), out=out)
 
 
-def _dist(z2, zeta, x2, xn):
-    # distance to the solution circle; a non-finite state gives a non-finite distance
-    return np.sqrt(np.maximum(0.0, z2 + x2 - 2.0 * zeta * xn))
-
-
 def pr_decompose(z, x):
     """Split z into its signal-aligned polar part and the orthogonal rest."""
     z, x, x2 = _points(z, x)
-    zeta, phi, w = _decompose_rows(z, np.vecdot(x, z), x, math.sqrt(x2))
-    return PRDecomposition(w=w, zeta=float(zeta), phi=float(phi))
+    ip = np.vecdot(x, z[None])  # the engine's row forms, so its rows carry these bits
+    zeta, phi = float(_margin(ip, math.sqrt(x2))[0]), float(np.angle(ip[0])) % (2.0 * math.pi)
+    phi = phi if zeta > 0.0 and phi < 2.0 * math.pi else 0.0  # a tiny negative angle rounds to 2 pi
+    return PRDecomposition(_orthogonal(z[None], ip, x, x2)[0], zeta, phi)
 
 
 def _check_c(c):
@@ -170,24 +165,21 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
     status is the first rule that holds there, in the sphere engine's order
     "aborted_nan", "ball_entered", "max_iters"; converged tells whether the
     row ever reached the target.  The recurrences (zeta and ||w|| scale by
-    known factors of ||z||^2) are verified against the recomputed
-    decomposition; the comparison floor 1e-6 ||x|| keeps the orthogonal
-    component out of pure cancellation noise once it has decayed to a scale
-    the decomposition cannot resolve.
+    known factors of ||z||^2) are verified against zeta and ||w|| recomputed
+    from x^H z and the projection w = z - (x^H z) x / ||x||^2; the comparison
+    floor 1e-6 ||x|| keeps the orthogonal component out of pure cancellation
+    noise once it has decayed to a scale the projection cannot resolve.
 
     Inside a window step s only reads Zs[s] and its x^H z and writes Zs[s + 1]
-    and its x^H z, so x^H z is taken once per iterate; the decomposition, the
-    stop rules and the recurrence checks then run once over the window's
-    iterates.  A row's steps past its stop are discarded, and no step raises a
+    and its x^H z, so x^H z is taken once per iterate; zeta, ||w||, the stop
+    rules and the recurrence checks then run once over the window's iterates.
+    A row's steps past its stop are discarded, and no step raises a
     floating-point warning.  A row leaves the block when it stops; rows never
     interact, so each row's run equals that of a one-row block bit for bit.
 
     Returns one PRTrajectory per row.
     """
-    Z = np.array(Z0, dtype=complex, ndmin=2)
-    x, x2 = _signal(x)
-    if x.shape != Z.shape[1:]:
-        raise ValueError("z and x must have the same length")
+    Z, x, x2 = _points(np.atleast_2d(Z0), x, (2,))
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
     _check_c(c)
@@ -214,9 +206,8 @@ def pr_descend_block(Z0, x, eta, c, budgets, stop_at_target=True):
                 z2[s] = np.vecdot(Zs[s], Zs[s]).real
                 _step(Zs[s], z2[s], IP[s], x, x2, eta, out=Zs[s + 1])
                 IP[s + 1] = np.vecdot(x, Zs[s + 1])
-            zeta, _, W = _decompose_rows(Zs, IP, x, xn)
-            wn = _row_norms(W)
-            dist = _dist(z2, zeta[:w], x2, xn)
+            zeta, wn = _margin(IP, xn), _row_norms(_orthogonal(Zs, IP, x, x2))
+            dist = np.sqrt(np.maximum(0.0, z2 + x2 - 2.0 * zeta[:w] * xn))  # non-finite for a non-finite state
             conv = converged | np.logical_or.accumulate(dist < target, axis=0)
             budget_spent = np.arange(t0, t0 + w)[:, None] >= budgets[rows]
             rules = np.stack([~np.isfinite(z2), conv & stop_at_target, budget_spent])  # in the order of the statuses

@@ -169,6 +169,8 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (("zeta0 = 0.03", "zeta0 = 0.03\neta = 1e-300"), ["run-pr"]),
         (("zeta0 = 0.03", "zeta0 = 0.03\nc = 1e-300"), ["run-pr"]),
         (None, ["probe-fluctuation", "--n", "4", "--zeta", "1e300", "--p-list", "10"]),
+        (None, ["probe-projection", "--n", "4", "--zetas", "1e-320", "--samples", "2"]),
+        (None, ["probe-projection", "--n", "4", "--mu", "1e300", "--zetas", "0.5", "--samples", "1"]),
     ],
     ids=[
         "seed_base-negative",
@@ -230,6 +232,8 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "pr-eta-1e-300",
         "pr-c-1e-300",
         "fluctuation-zeta-1e300",
+        "projection-winf-zeta-subnormal",
+        "projection-mu-squared-overflows",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):

@@ -293,6 +293,8 @@ def test_config_validation():
         BallStop(norm="l7", radius=0.1)
     with pytest.raises(ValueError):
         BallStop(norm="l2", radius=0.0)
+    with pytest.raises(TypeError):  # no default radius, which the radius check would reject
+        BallStop()
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,8 @@ def test_mu_validation():
     with pytest.warns(RuntimeWarning):
         check_mu(1.0 / 16.0)
     check_mu(0.01)  # silent
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        check_mu(1e300)  # mu^2 overflows; rejected before the mu >= 1/16 warning
 
 
 @pytest.mark.parametrize("mu", [np.nan, 0.0, -1.0, np.inf])

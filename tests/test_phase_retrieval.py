@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 from spheregd import phase_retrieval
 from spheregd.descent import _WINDOW
 from spheregd.phase_retrieval import (
-    _decompose_rows,
+    _margin,
+    _orthogonal,
     iteration_budgets,
     max_step_size,
     pr_decompose,
@@ -515,9 +516,10 @@ def _signal_and_block(draw):
 @given(_signal_and_block())
 def test_decompose_roundtrip_and_block_rows(case):
     x, Z = case
-    xn = math.sqrt(np.vdot(x, x).real)
+    x2 = float(np.vdot(x, x).real)
+    xn = math.sqrt(x2)
     ip = np.vecdot(x, Z)
-    zeta, phi, W = _decompose_rows(Z, ip, x, xn)
+    zeta, W = _margin(ip, xn), _orthogonal(Z, ip, x, x2)
     for k, z in enumerate(Z):
         dec = pr_decompose(z, x)
         scale = max(1.0, float(np.linalg.norm(z)))
@@ -527,8 +529,22 @@ def test_decompose_roundtrip_and_block_rows(case):
         assert dec.phi == 0.0 or dec.zeta > 0.0
         # a block row carries the bits of the one-point decomposition
         assert ip[k] == np.vdot(x, z)
-        assert (zeta[k], phi[k]) == (dec.zeta, dec.phi)
+        assert zeta[k] == dec.zeta
         assert W[k].tobytes() == dec.w.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_w_recurrence_holds_to_rounding_for_e1(n):
+    # probe-pr-identities' fixed-length runs: for x = e1 the projection's first
+    # coordinate is exactly 0, so ||w|| carries no rounding of x's component
+    x = np.eye(n, dtype=complex)[0]
+    c = 1.0 / 35.0
+    eta = 0.95 * max_step_size(x, c)
+    for seed in range(3):
+        z0 = sample_ball(n, 1.0 / math.sqrt(2.0), np.random.default_rng(seed))
+        run = pr_descend(z0, x, eta, c, 1000, stop_at_target=False)
+        assert run.iterations == 1000 and run.max_w_dev <= 1e-14
+        assert pr_decompose(z0, x).w[0] == 0.0 and pr_decompose(run.final_z, x).w[0] == 0.0
 
 
 def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
@@ -539,10 +555,7 @@ def _scalar_descend(z, x, eta, c, max_iters, stop_at_target):
 
     def decompose(z):
         ip = np.vdot(x, z)
-        zeta = float(abs(ip)) / xn
-        phi = float(np.angle(ip)) % (2.0 * math.pi)
-        phi = phi if zeta > 0.0 and phi < 2.0 * math.pi else 0.0
-        return zeta, float(np.linalg.norm(z - zeta * np.exp(1j * phi) * x / xn))
+        return float(abs(ip)) / xn, float(np.linalg.norm(z - ip * (x / x2)))
 
     x2 = float(np.vdot(x, x).real)
     xn = math.sqrt(x2)
