@@ -11,6 +11,9 @@ reproduces every file byte for byte regardless of --jobs.
 in-process for 1.  run-dl defaults to every usable CPU and hands out each seed
 as one task; a worker holds one instance, whose Y is n p 8 bytes.  run-sep
 defaults to 1, one lockstep block per worker; run-pr runs in-process.
+Workers run BLAS on one thread, set while the pool forks: a threaded GEMM
+(Y = A0 X0 at n=10, p=20000) leaves a helper spinning ~128 ms beside the seed.
+This reaches workers only by fork, the start method on Linux in Python 3.11.
 
 Exit codes: 0 ok, 1 usage or config error, 2 numerical abort (non-finite
 objective), 3 gate failure under --check.
@@ -19,6 +22,8 @@ objective), 3 gate failure under --check.
 import argparse
 import collections
 import concurrent.futures
+import contextlib
+import ctypes
 import functools
 import hashlib
 import math
@@ -295,6 +300,30 @@ _PROBLEMS = {
 }
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of each OpenBLAS that /proc/self/maps
+    lists; none without /proc (not Linux) or without OpenBLAS (MKL)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = [ctypes.CDLL(path) for path in {line.split()[-1] for line in fh if "openblas" in line}]
+    except OSError:
+        return []
+    symbols = ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_", "openblas_%s_num_threads")
+    names = [next((name for name in symbols if hasattr(lib, name % "get")), None) for lib in libs]
+    get, set_ = ctypes.CFUNCTYPE(ctypes.c_int), ctypes.CFUNCTYPE(None, ctypes.c_int)  # int get(void), void set(int)
+    return [(get((name % "get", lib)), set_((name % "set", lib))) for lib, name in zip(libs, names) if name]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside the block, which workers forked there inherit."""
+    with contextlib.ExitStack() as restore:
+        for get, set_ in _openblas_threads():
+            restore.callback(set_, get())
+            set_(1)
+        yield
+
+
 def run_batch(cfg, jobs=None):
     """Run the batch of a resolved config (see resolve_config); returns
     (summaries, traces, extras) seed-sorted.
@@ -312,7 +341,7 @@ def run_batch(cfg, jobs=None):
     ntasks = len(seeds) if problem.pool == "seed" else jobs
     tasks = [seeds[k * len(seeds) // ntasks : (k + 1) * len(seeds) // ntasks] for k in range(ntasks)]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             parts = list(ex.map(problem.run, [cfg] * ntasks, tasks))
         results, extras = [r for part, _ in parts for r in part], parts[0][1]
     else:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spheregd import phase_retrieval
+from spheregd import cli, phase_retrieval
 from spheregd.cli import (
     EXIT_GATE,
     EXIT_NUMERIC,
@@ -18,6 +18,7 @@ from spheregd.cli import (
     ConfigError,
     ExperimentConfig,
     _fmt,
+    _openblas_threads,
     _run_dl_seed,
     config_hash,
     main,
@@ -318,7 +319,18 @@ def _same_files(a, b):
     return names
 
 
-@pytest.mark.parametrize("command, text", [("run-sep", SEP_CFG), ("run-dl", DL_CFG)], ids=["sep", "dl"])
+# Y = A0 X0 at n=10, p=20000 is a GEMM that OpenBLAS splits over threads in
+# the calling process, and runs on one thread in a worker
+DL_THREADED_CFG = (
+    DL_CFG.replace("n = 6", "n = 10").replace("p = 200", "p = 20000").replace("max_iters = 3000", "max_iters = 40")
+)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("run-sep", SEP_CFG), ("run-dl", DL_CFG), ("run-dl", DL_THREADED_CFG)],
+    ids=["sep", "dl", "dl-threaded-gemm"],
+)
 def test_run_jobs_equivalence(tmp_path, command, text):
     # --jobs 1 runs in-process; the default and --jobs 2 may use worker processes
     cfg = _write(tmp_path, "a.cfg", text)
@@ -335,6 +347,47 @@ def test_run_dl_more_seeds_than_workers(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert main(["run-dl", "--config", cfg, "--out", str(tmp_path / "o3")]) == EXIT_OK
     assert len(_same_files(tmp_path / "o1", tmp_path / "o3")) == 6
+
+
+def test_run_dl_jobs_without_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
+    cfg = _write(tmp_path, "a.cfg", DL_CFG)
+    for out, jobs in (("o1", "1"), ("o2", "2")):
+        assert main(["run-dl", "--config", cfg, "--out", str(tmp_path / out), "--jobs", jobs]) == EXIT_OK
+    assert len(_same_files(tmp_path / "o1", tmp_path / "o2")) == 4
+
+
+class _WorkerBlasThreads(Exception):
+    pass
+
+
+def _raise_worker_blas_threads(cfg, seeds):
+    raise _WorkerBlasThreads([get() for get, _ in _openblas_threads()])
+
+
+@pytest.mark.skipif(not _openblas_threads(), reason="no OpenBLAS found")
+@pytest.mark.parametrize("raises", [False, True], ids=["ok", "pool-raises"])
+def test_pool_restores_the_callers_blas_threads(tmp_path, monkeypatch, raises):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = resolve_config(parse_config(_write(tmp_path, "a.cfg", DL_CFG)))
+    threads = _openblas_threads()
+    old = [get() for get, _ in threads]
+    for _, set_ in threads:
+        set_(2)  # a count that differs from the workers' 1
+    try:
+        if raises:
+            dl = cli._PROBLEMS["dictionary"]
+            monkeypatch.setitem(cli._PROBLEMS, "dictionary", dl._replace(run=_raise_worker_blas_threads))
+            with pytest.raises(_WorkerBlasThreads) as err:
+                run_batch(cfg, jobs=2)
+            assert err.value.args[0] == [1] * len(threads)  # read in a worker
+        else:
+            run_batch(cfg, jobs=2)
+        assert [get() for get, _ in threads] == [2] * len(threads)
+    finally:
+        for (_, set_), count in zip(threads, old):
+            set_(count)
 
 
 class _InProcessPool:
