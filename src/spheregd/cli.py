@@ -29,6 +29,7 @@ import hashlib
 import math
 import os
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -45,6 +46,7 @@ from .descent import (
     riemannian_gd_block,
 )
 from .objectives import (
+    check_mu,
     default_sep_eta,
     default_sep_mu,
     dl_objective,
@@ -341,6 +343,8 @@ def run_batch(cfg, jobs=None):
     ntasks = len(seeds) if problem.pool == "seed" else jobs
     tasks = [seeds[k * len(seeds) // ntasks : (k + 1) * len(seeds) // ntasks] for k in range(ntasks)]
     if jobs > 1:
+        if "mu" in problem.keys:  # warns here, once: forked workers inherit the warnings already shown
+            check_mu(cfg.mu)
         with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             parts = list(ex.map(problem.run, [cfg] * ntasks, tasks))
         results, extras = [r for part, _ in parts for r in part], parts[0][1]
@@ -589,6 +593,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    formatwarning = warnings.formatwarning  # a warning the command shows is one stderr line
+    warnings.formatwarning = lambda message, *_: f"spheregd: warning: {message}\n"
     try:
         return args.func(args)
     except ConfigError as e:
@@ -597,6 +603,8 @@ def main(argv=None):
     except (ValueError, OSError) as e:  # a probe argument out of range, or an unwritable --out
         print(f"spheregd: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -109,7 +109,10 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     objective: callable (Q, value=True, out=None) -> (values, Riemannian
     gradients) on a (B, n) block, one point per row; with value=False the
     values may be None, and given out, a (B, n) array, the gradients are
-    written there and out is returned.
+    written there and out is returned.  An objective.values(Q), the values
+    alone for any leading shape and with their bits, makes every step run with
+    value=False: a traced window takes its values in one call after its steps,
+    and an untraced row's stop value comes from it (dl_objective has none).
     target_basis: optional orthogonal matrix whose signed columns are the
     targets; section statistics and any ball stop are computed in that frame.
     traced: keep every iterate's statistics.  Untraced, each row's trace holds
@@ -138,6 +141,8 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     RT = None if target_basis is None else np.asarray(target_basis, dtype=float).T
     ball, tol, step_scale = cfg.stop_ball, cfg.stop_grad_tol, -cfg.eta
     multiply = np.multiply
+    step_value = traced and not hasattr(objective, "values")  # else one values call per traced window
+    values = getattr(objective, "values", lambda Q: objective(Q)[0])
 
     rows = np.arange(len(Q))  # caller's row index of each row still running
     traces = [None] * len(Q)
@@ -153,10 +158,12 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
         # a stopped row may step on to non-finite values; zeta is inf on a target
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for s, (q, g, q_next) in enumerate(zip(Qs, Gs, Qs[1:])):
-                f = objective(q, value=traced, out=g)[0]
-                if traced:
+                f = objective(q, value=step_value, out=g)[0]
+                if step_value:
                     F[s] = f
                 geodesic(q, multiply(g, step_scale, out=V), q_next)
+            if traced and not step_value:
+                F[:] = values(Qs[:w])
             np.sqrt(np.vecdot(Gs, Gs), out=gn)
             # into the run frame by one (n, n) @ (n, 1) product per row and step, as in a one-row block
             ab = np.sort(np.abs(Qs[:w] if RT is None else np.matmul(RT, Qs[:w, :, :, None])[..., 0]), axis=-1)
@@ -181,7 +188,7 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
             if traced:
                 iters, row = np.arange(t + 1), np.concatenate([h[:, :, rows[k]] for h in history], axis=1)[:, : t + 1]
             else:
-                F[s, k] = objective(Qs[s, k : k + 1])[0][0]
+                F[s, k] = values(Qs[s, k : k + 1])[0]
                 iters, row = np.array([t]), C[:, s, k : k + 1]
             status = STATUS_NAN if not np.isfinite(F[s, k]) else _STATUSES[rules[:, s, k].argmax()]
             traces[rows[k]] = DescentTrace(iters, *row.copy(), status, Qs[s, k].copy())

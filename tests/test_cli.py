@@ -2,6 +2,8 @@ import concurrent.futures
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -629,3 +631,29 @@ def test_probe_fluctuation_warns_once_above_mu_one_sixteenth():
             warnings.simplefilter("default")  # Python's default: once per call site
             assert main(argv) == EXIT_OK
         assert ["positivity is not guaranteed" in str(w.message) for w in caught] == [True]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-sep", "--config", "{sep}", "--jobs", "2"],
+        ["run-dl", "--config", "{dl}"],  # a worker per usable CPU
+        ["probe-fluctuation", "--n", "4", "--mu", "0.07", "--p-list", "10,20", "--trials", "2"],
+    ],
+    ids=["run-sep-jobs-2", "run-dl-default-jobs", "probe-fluctuation"],
+)
+def test_mu_warning_is_one_stderr_line_per_command(tmp_path, argv):
+    # the batch checks mu before its pool forks, and workers inherit the
+    # warnings already shown; each command shows a warning as one line
+    paths = {
+        "{sep}": _write(tmp_path, "sep.cfg", SEP_CFG + "mu = 0.07\n"),
+        "{dl}": _write(tmp_path, "dl.cfg", DL_CFG.replace("num_seeds = 3", "num_seeds = 4") + "mu = 0.07\n"),
+    }
+    argv = [paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONWARNINGS", None)  # Python's default filter
+    run = subprocess.run([sys.executable, "-m", "spheregd.cli", *argv], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == EXIT_OK
+    warning = "spheregd: warning: mu = 0.07 >= 1/16: outward-projection positivity is not guaranteed"
+    assert run.stderr.splitlines() == [warning]

@@ -187,6 +187,32 @@ def test_window_matches_step_by_step_engine(max_iters, traced):
     _assert_matches_step_by_step(oracle, q0, DescentConfig(eta=0.01, max_iters=max_iters, stop_ball=ball), traced)
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("max_iters", [1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 3])
+def test_block_values_match_step_by_step_engine(max_iters, traced, rotated):
+    # the bare sep_objective carries values: the engine steps with value=False
+    # and takes a traced window's values, or an untraced row's stop value, from
+    # values, while the reference asks each step's oracle call for the value
+    n, mu = 6, 0.03
+    sep = sep_objective(mu)
+    asked = []
+
+    def spy(q, value=True, out=None):
+        asked.append(value)
+        return sep(q, value, out)
+
+    spy.values = sep.values
+    rng = np.random.default_rng(4)
+    q0 = np.array([sample_uniform_sphere(n, rng) for _ in range(12)]
+                  + [chart_to_sphere(np.full(n - 1, r)) for r in (0.05, 0.15, 0.3)] + [np.eye(n)[-1]])
+    basis = haar_orthogonal(n, rng) if rotated else None
+    cfg = DescentConfig(eta=0.01, max_iters=max_iters, stop_ball=BallStop(norm="linf", radius=mu * np.log(1.0 / mu)))
+    riemannian_gd_block(spy, q0, cfg, basis, traced=traced)
+    assert asked and not any(asked)
+    _assert_matches_step_by_step(sep, q0, cfg, traced, basis)
+
+
 @pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("stop", ["ball", "grad_tol"])
 def test_rows_stop_at_every_offset_of_a_window(stop, traced):

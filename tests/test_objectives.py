@@ -308,6 +308,38 @@ def test_oracle_values_are_log_cosh_bit_for_bit(n, p, rows, mu, seed):
             assert got[0].tobytes() == ref[0].tobytes() if value else got[0] is None
 
 
+def _same_values(a, b):
+    """The same shape, NaN at the same places and the same bits elsewhere."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# |q| >= 45 puts |q| / mu past 710, where exp(|q| / mu) overflows, for every mu < 1/16
+_SEP_ENTRIES = (
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    | st.floats(45.0, 1e6) | st.floats(-1e6, -45.0) | st.floats(-1.0, 1.0)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mu=st.floats(np.finfo(float).tiny, 1.0 / 16.0, exclude_max=True),
+    # a point (n,), a (B, n) block and a (w, B, n) window
+    Q=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12), elements=_SEP_ENTRIES),
+)
+@example(mu=1e-3, Q=np.resize([1.0, -0.0, 5e-324, 0.8, np.inf, -1.0, np.nan, 0.5], (4, 2, 3)))
+def test_sep_values_have_the_oracle_bits(mu, Q):
+    # the engine takes a traced separable window's values by one values call
+    # on its (w, B, n) iterates; each row must keep its oracle value's bits
+    oracle = sep_objective(mu)
+    with np.errstate(all="ignore"):  # inf and NaN rows, and sums past the largest float
+        got = oracle.values(Q)
+        assert _same_values(got, oracle(Q)[0])
+        for v, q in zip(np.reshape(got, -1), Q.reshape(-1, Q.shape[-1])):
+            assert _same_values(v, oracle(q)[0]) and _same_values(v, np.add.reduce(log_cosh(q, mu)))
+
+
 def test_dl_oracle_keeps_no_copy_of_the_data():
     n, p = 20, 20_000
     rng = np.random.default_rng(0)
