@@ -171,8 +171,12 @@ def validate_config(cfg):
 
 
 def resolve_config(cfg):
-    """Fill the problem's defaults for mu, eta and the target radius it reads."""
-    mu, eta, r_or_s = _PROBLEMS[cfg.problem].defaults(cfg)
+    """Fill the problem's defaults for mu, eta and the target radius it reads,
+    and check mu where the problem reads it, before any output, draw or fork."""
+    problem = _PROBLEMS[cfg.problem]
+    mu, eta, r_or_s = problem.defaults(cfg)
+    if "mu" in problem.keys:  # warns here, once: forked workers inherit the warnings already shown
+        check_mu(mu)
     return replace(cfg, mu=mu, eta=eta, r_or_s=r_or_s)
 
 
@@ -316,18 +320,8 @@ def _openblas_threads():
     return [(get((name % "get", lib)), set_((name % "set", lib))) for lib, name in zip(libs, names) if name]
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """OpenBLAS on one thread inside the block, which workers forked there inherit."""
-    with contextlib.ExitStack() as restore:
-        for get, set_ in _openblas_threads():
-            restore.callback(set_, get())
-            set_(1)
-        yield
-
-
 def run_batch(cfg, jobs=None):
-    """Run the batch of a resolved config (see resolve_config); returns
+    """Run the batch of a config that resolve_config filled and checked; returns
     (summaries, traces, extras) seed-sorted.
 
     extras carries problem-specific aggregate fields (theory bounds, band
@@ -343,9 +337,11 @@ def run_batch(cfg, jobs=None):
     ntasks = len(seeds) if problem.pool == "seed" else jobs
     tasks = [seeds[k * len(seeds) // ntasks : (k + 1) * len(seeds) // ntasks] for k in range(ntasks)]
     if jobs > 1:
-        if "mu" in problem.keys:  # warns here, once: forked workers inherit the warnings already shown
-            check_mu(cfg.mu)
-        with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        with contextlib.ExitStack() as stack:  # exits in reverse: the pool shuts down, then the counts return
+            for get, set_ in _openblas_threads():  # one thread, which the workers forked here inherit
+                stack.callback(set_, get())
+                set_(1)
+            ex = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
             parts = list(ex.map(problem.run, [cfg] * ntasks, tasks))
         results, extras = [r for part, _ in parts for r in part], parts[0][1]
     else:

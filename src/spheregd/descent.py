@@ -92,16 +92,6 @@ def recovery_error(q, A0):
 _WINDOW = 32
 
 
-def _entered_ball(top, second, ball):
-    # top = largest |coordinate| of the frame-rotated iterate, second = next one;
-    # in chart terms second = ||w||_inf and sqrt(1 - top^2) = ||w||_2.
-    if ball is None:
-        return False
-    if ball.norm == "linf":
-        return second < ball.radius
-    return np.sqrt(np.fmax(0.0, 1.0 - top * top)) < ball.radius
-
-
 def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
     """Iterate q <- exp_q(-eta * grad f(q)) on every row of the (B, n) block q0
     in lockstep, until a stop rule fires for the row.
@@ -176,7 +166,10 @@ def riemannian_gd_block(objective, q0, cfg, target_basis=None, traced=False):
         if traced:
             rules[0] |= ~np.isfinite(F)
         rules[1] = gn <= tol
-        rules[2] = _entered_ball(top, w_inf, ball)
+        # top = largest |coordinate| of the frame-rotated iterate, w_inf = next one;
+        # in chart terms w_inf = ||w||_inf and sqrt(1 - top^2) = ||w||_2
+        chart = w_inf if ball is None or ball.norm == "linf" else np.sqrt(np.fmax(0.0, 1.0 - top * top))
+        rules[2] = ball is not None and chart < ball.radius
         rules[3] = (t0 + np.arange(w) >= cfg.max_iters)[:, None]
         fired = rules.any(axis=0)
         if traced:

@@ -9,7 +9,6 @@ separable objective and the finite-sample and infinite-data dictionary ones.
 """
 
 import concurrent.futures
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,22 +61,6 @@ def enumerate_critical_points(n):
     return out
 
 
-def _drawn_ahead(n, num_samples, rng):
-    """Yield the (m, n) normal blocks of num_samples rows, each drawn on one
-    helper thread while the caller reduces the one before.  A block is held
-    here only until the next is asked for, so a caller that drops it (map)
-    keeps two alive.  The thread is joined when the generator ends or closes."""
-    rows = max(1, MC_BLOCK_BYTES // (8 * n))  # any block size gives the same draws and bits
-    sizes = [min(rows, num_samples - a) for a in range(0, num_samples, rows)]
-    with concurrent.futures.ThreadPoolExecutor(1) as ex:
-        ahead = ex.submit(rng.standard_normal, (sizes[0], n))
-        for m in sizes[1:]:
-            block = ahead.result()
-            ahead = ex.submit(rng.standard_normal, (m, n))
-            yield block
-        yield ahead.result()
-
-
 def _section_rows(g):
     """q_n (a copy, so the block is freed) and ||w||_inf of the rows of g
     projected onto the sphere; g is normalised in place."""
@@ -117,8 +100,15 @@ def volume_curve(n, zetas, num_samples, rng):
     if not np.all((zetas >= 0.0) & (zetas < np.inf)):
         raise ValueError("zeta must be finite and >= 0")
     hits = np.zeros(zetas.size, dtype=np.int64)
-    with contextlib.closing(_drawn_ahead(n, num_samples, rng)) as blocks:  # joins on a raise too
-        for qn, winf in map(_section_rows, blocks):
+    rows = max(1, MC_BLOCK_BYTES // (8 * n))  # any block size gives the same draws and bits
+    sizes = [min(rows, num_samples - a) for a in range(0, num_samples, rows)]
+    with concurrent.futures.ThreadPoolExecutor(1) as ex:  # joins on a return or a raise
+        ahead = ex.submit(rng.standard_normal, (sizes[0], n))
+        for m in sizes[1:] + [0]:  # 0: the last block, with no draw after it
+            block = ahead.result()
+            if m:
+                ahead = ex.submit(rng.standard_normal, (m, n))
+            qn, winf = _section_rows(block)
             for k, z in enumerate(zetas):
                 hits[k] += int(np.count_nonzero(in_section(qn, winf, z)))
     return hits / num_samples

@@ -73,7 +73,7 @@ def sep_objective(mu):
     check_mu(mu)
 
     def values(Q):
-        return np.add.reduce(_log_cosh_scaled(np.abs(np.divide(Q, mu)), mu), -1)
+        return np.add.reduce(log_cosh(Q, mu), -1)
 
     def oracle(q, value=True, out=None):
         val = values(q) if value else None

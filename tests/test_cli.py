@@ -643,7 +643,7 @@ def test_probe_fluctuation_warns_once_above_mu_one_sixteenth():
     ids=["run-sep-jobs-2", "run-dl-default-jobs", "probe-fluctuation"],
 )
 def test_mu_warning_is_one_stderr_line_per_command(tmp_path, argv):
-    # the batch checks mu before its pool forks, and workers inherit the
+    # resolving the config checks mu before any pool forks, and workers inherit the
     # warnings already shown; each command shows a warning as one line
     paths = {
         "{sep}": _write(tmp_path, "sep.cfg", SEP_CFG + "mu = 0.07\n"),
@@ -657,3 +657,28 @@ def test_mu_warning_is_one_stderr_line_per_command(tmp_path, argv):
     assert run.returncode == EXIT_OK
     warning = "spheregd: warning: mu = 0.07 >= 1/16: outward-projection positivity is not guaranteed"
     assert run.stderr.splitlines() == [warning]
+
+
+@pytest.mark.parametrize("mu", ["1e-320", "1e300"])
+@pytest.mark.parametrize(
+    "command, text, jobs",
+    [
+        ("run-sep", SEP_CFG + "r_or_s = 0.1\n", []),  # a radius, so that mu itself is what fails
+        ("run-dl", DL_CFG, ["--jobs", "1"]),
+        ("run-dl", DL_CFG, []),  # a worker per usable CPU
+    ],
+    ids=["run-sep", "run-dl-jobs-1", "run-dl-default-jobs"],
+)
+def test_invalid_mu_fails_before_any_output_or_draw(tmp_path, capsys, monkeypatch, command, text, jobs, mu):
+    # resolving the config checks mu: no --out directory is made and no instance is drawn
+    def no_draw(*args):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli, "gen_instance", no_draw)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "o"
+    argv = [command, "--config", _write(tmp_path, "a.cfg", text + f"mu = {mu}\n"), "--out", str(out)]
+    assert main(argv + jobs) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.search(r"\bmu\b", err[0])
+    assert not out.exists()

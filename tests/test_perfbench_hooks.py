@@ -66,6 +66,7 @@ def test_every_tracer_hook_resolves_and_unpatch_restores_it(tmp_path, capsys):
         for name in ("objectives.sep_oracle", "objectives.dl_oracle", "datagen.gen_instance"):
             assert metrics[name + ".calls"][0] > 0
         assert metrics["descent.riemannian_gd.calls"][0] > 0
+        assert metrics["objectives.log_cosh.calls"][0] > 0  # the separable oracle's values
         assert metrics["cli.write_trace_csv.calls"][0] == 5  # 3 separable and 2 dictionary seeds
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5 and all(Path(line).is_file() for line in lines)
