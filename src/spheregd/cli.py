@@ -1,11 +1,11 @@
 """Command-line harness: seeded experiment batches and geometry probes.
 
 Batches read a flat key = value config file, run num_seeds independent
-descents with seeds seed_base .. seed_base + num_seeds - 1, and write a
-summary document (plus per-seed trace CSVs with --save-traces).  All outputs
-embed the resolved-config hash and seed base, floats are printed at 17
-significant digits, and aggregation is seed-sorted, so rerunning a config
-reproduces every file byte for byte regardless of --jobs.
+descents with seeds seed_base .. seed_base + num_seeds - 1, and only then make
+out_dir to write a summary (and per-seed traces with --save-traces): a
+rejected batch writes nothing.  Outputs embed the resolved-config hash and
+seed base, floats are printed at 17 significant digits, and aggregation is
+seed-sorted, so a rerun reproduces every file byte for byte at any --jobs.
 
 --jobs k runs a batch in min(k, num_seeds, usable CPUs) worker processes, or
 in-process for 1.  run-dl defaults to every usable CPU and hands out each seed
@@ -62,7 +62,7 @@ EXIT_GATE = 3
 TRACE_COLUMNS = ("iter", "f", "grad_norm", "zeta", "w_inf", "dist_target")
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -166,13 +166,11 @@ def validate_config(cfg):
             raise ConfigError("dictionary problem needs theta in (0, 1/2)")
         if cfg.dictionary_mode not in ("identity", "random_orthogonal"):
             raise ConfigError(f"unknown dictionary_mode {cfg.dictionary_mode!r}")
-    if "c" in keys and not (0.0 < cfg.c < 0.25):
-        raise ConfigError("phase_retrieval needs 0 < c < 1/4")
 
 
 def resolve_config(cfg):
     """Fill the problem's defaults for mu, eta and the target radius it reads,
-    and check mu where the problem reads it, before any output, draw or fork."""
+    and check mu where the problem reads it, before any draw or fork."""
     problem = _PROBLEMS[cfg.problem]
     mu, eta, r_or_s = problem.defaults(cfg)
     if "mu" in problem.keys:  # warns here, once: forked workers inherit the warnings already shown
@@ -436,9 +434,9 @@ def _cmd_run(args):
     if (args.jobs or 1) > 1 and problem.pool == "inline":
         raise ConfigError(f"{args.command} runs in one process; it does not read --jobs")
     cfg = resolve_config(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)  # an unwritable path fails before the batch runs
     summaries, traces, extras = run_batch(cfg, jobs=args.jobs)
 
+    os.makedirs(cfg.out_dir, exist_ok=True)  # only once the batch ran: a rejected batch writes nothing
     write_summary(os.path.join(cfg.out_dir, "summary.txt"), cfg, summaries, extras)
     for seed in sorted(traces):
         write_trace_csv(
@@ -593,10 +591,7 @@ def main(argv=None):
     warnings.formatwarning = lambda message, *_: f"spheregd: warning: {message}\n"
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"spheregd: config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as e:  # a probe argument out of range, or an unwritable --out
+    except (ValueError, OSError) as e:  # a rejected input (ConfigError too) or an --out that cannot be made
         print(f"spheregd: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -1,4 +1,4 @@
-"""Shared numerical oracles for the test suite.
+"""Shared numerical oracles and a stub generator for the test suite.
 
 The finite-difference gradient here is deliberately independent of the
 library's gradient code paths: it only consumes objective *values* along
@@ -45,6 +45,20 @@ def fd_riem_grad(fval, q, h=1e-5):
         d = B[:, k]
         g += fd_directional(fval, q, d, h) * d
     return g
+
+
+class ZeroFirst:
+    """A generator whose first normals are all 0, a probability-zero draw."""
+
+    def __init__(self, seed):
+        self.rng, self.fresh = np.random.default_rng(seed), True
+
+    def standard_normal(self, shape):
+        fresh, self.fresh = self.fresh, False
+        return np.zeros(shape) if fresh else self.rng.standard_normal(shape)
+
+    def random(self):
+        return self.rng.random()
 
 
 def sep_chart_grad(w, mu):

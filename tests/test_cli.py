@@ -174,6 +174,9 @@ def test_cli_wrong_problem_for_command(tmp_path):
         (None, ["probe-fluctuation", "--n", "4", "--zeta", "1e300", "--p-list", "10"]),
         (None, ["probe-projection", "--n", "4", "--zetas", "1e-320", "--samples", "2"]),
         (None, ["probe-projection", "--n", "4", "--mu", "1e300", "--zetas", "0.5", "--samples", "1"]),
+        (("zeta0 = 0.03", "zeta0 = 0.03\neta = 0.5"), ["run-pr"]),
+        (("zeta0 = 0.03", "zeta0 = 0.75"), ["run-pr"]),
+        (("zeta0 = 0.03", "zeta0 = 0.03\neta = 0.001\nc = 0.3"), ["run-pr"]),  # eta given, so the run's _check_c rejects c
     ],
     ids=[
         "seed_base-negative",
@@ -237,6 +240,9 @@ def test_cli_wrong_problem_for_command(tmp_path):
         "fluctuation-zeta-1e300",
         "projection-winf-zeta-subnormal",
         "projection-mu-squared-overflows",
+        "pr-eta-over-step-cap",
+        "pr-zeta0-outside-start-ball",
+        "pr-c-over-quarter-with-eta",
     ],
 )
 def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
@@ -255,9 +261,47 @@ def test_invalid_input_exits_1_with_one_line(tmp_path, capsys, edit, argv):
         code = e.code
     assert code == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("spheregd: ")
+    assert len(err) == 1 and err[0].startswith("spheregd: error: ")
     if edit is not None:  # the message names the key the edit set last
         assert re.search(rf"\b{edit[1].splitlines()[-1].split()[0]}\b", err[0])
+    if argv[0].startswith("run-"):  # a rejected batch writes nothing
+        assert not os.path.exists(argv[argv.index("--out") + 1])
+
+
+_EDGE_VALUES = (0, 1e-300, -1e-300, 1e300, 5e-324, 2.2250738585072014e-308, 1, 0.5, 0.25, 0.0625, 2, 3, 12)
+_EDGE_KEYS = {
+    "run-sep": ("mu", "eta", "zeta0", "r_or_s", "n", "max_iters"),
+    "run-dl": ("p", "theta", "mu", "eta", "r_or_s", "n"),
+    "run-pr": ("eta", "zeta0", "c", "n", "max_iters"),
+}
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # the mu >= 1/16 warning is shown, not raised
+def test_batch_keys_at_edge_values(tmp_path, capsys):
+    # every key a batch reads, set to each edge value on a small base config: a defined exit
+    # code, at most one line besides warnings, and no --out after a rejection
+    bases = {
+        "run-sep": {"problem": "separable"},
+        "run-dl": {"problem": "dictionary", "p": 50, "theta": 0.25},
+        "run-pr": {"problem": "phase_retrieval"},
+    }
+    failed = []
+    for command, keys in _EDGE_KEYS.items():
+        for key in keys:
+            integral = key in ("n", "p", "max_iters")
+            for value in [v for v in _EDGE_VALUES if isinstance(v, int) or not integral]:
+                cfg = {"n": 4, "num_seeds": 2, "seed_base": 0, "max_iters": 200, **bases[command], key: value}
+                name = f"{command}-{key}-{value!r}"
+                out = tmp_path / name
+                text = "".join(f"{k} = {v}\n" for k, v in cfg.items())
+                code = main([command, "--config", _write(tmp_path, "a.cfg", text), "--out", str(out), "--jobs", "1"])
+                err = [line for line in capsys.readouterr().err.splitlines()
+                       if not line.startswith("spheregd: warning:")]
+                if code not in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_GATE) or len(err) > 1 or (
+                    code == EXIT_USAGE and out.exists()
+                ):
+                    failed.append(f"{name}: exit {code}, {err}, out exists: {out.exists()}")
+    assert failed == []
 
 
 @pytest.mark.parametrize(

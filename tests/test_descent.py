@@ -321,6 +321,8 @@ def test_config_validation():
         BallStop(norm="l2", radius=0.0)
     with pytest.raises(TypeError):  # no default radius, which the radius check would reject
         BallStop()
+    with pytest.raises(ValueError, match="q0 must have unit norm"):
+        riemannian_gd_block(sep_objective(0.02), np.ones(2), DescentConfig(eta=0.1, max_iters=10))
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,8 @@ def test_enumeration_counts():
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         enumerate_critical_points(13)
+    with pytest.raises(ValueError, match="n >= 1"):
+        enumerate_critical_points(0)
 
 
 def test_critical_points_have_zero_gradient():

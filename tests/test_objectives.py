@@ -110,6 +110,8 @@ def test_dl_slopes_check_mu(mu):
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="mu must be positive and finite"):
         dl_pop_projected_grad_estimate(w, 0, mu, 0.25, 1000, rng)
+    with pytest.raises(ValueError, match="num_samples >= 1"):
+        dl_pop_projected_grad_estimate(w, 0, 0.01, 0.25, 0, rng)
     assert rng.bit_generator.state == before  # checked before any draw
 
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import ZeroFirst
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -309,26 +310,12 @@ def test_experiment_fails_fast_on_a_hopeless_band(n, zeta0, draws):
     assert [g.bit_generator.state for g in rngs[1:]] == [g.bit_generator.state for g in twins[1:]]
 
 
-class _ZeroFirst:
-    """A generator whose first normals are all 0."""
-
-    def __init__(self, seed):
-        self.rng, self.fresh = np.random.default_rng(seed), True
-
-    def standard_normal(self, shape):
-        fresh, self.fresh = self.fresh, False
-        return np.zeros(shape) if fresh else self.rng.standard_normal(shape)
-
-    def random(self):
-        return self.rng.random()
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 8, 9, 33])
 def test_sample_balls_rows_are_sample_ball_draws(n):
     # each row, and each generator's state after it, as a loop of sample_ball
     # over the generators gives them; two generators start with a zero direction
     def gens():
-        return [_ZeroFirst(s) if s in (0, 57) else np.random.default_rng([n, s]) for s in range(120)]
+        return [ZeroFirst(s) if s in (0, 57) else np.random.default_rng([n, s]) for s in range(120)]
 
     rngs, twins = gens(), gens()
     block = sample_balls(n, 0.7, rngs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import ZeroFirst
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -198,6 +199,10 @@ def test_sample_symmetry_statistics():
 def test_sample_requires_n_ge_2():
     with pytest.raises(ValueError):
         sample_uniform_sphere(1, np.random.default_rng(0))
+    q, twin = sample_uniform_sphere(5, ZeroFirst(7)), ZeroFirst(7)
+    twin.standard_normal(5)
+    g = twin.standard_normal(5)
+    assert q.tobytes() == (g / np.linalg.norm(g)).tobytes()  # the all-zero first draw is redrawn
 
 
 @pytest.mark.parametrize("n,zeta0", [(3, 0.0), (3, 0.5), (8, 0.2), (20, 1.0)])
@@ -231,6 +236,8 @@ def test_scale_to_zeta():
 def test_scale_to_zeta_rejects_a_zeta_whose_square_overflows(z0):
     with pytest.raises(ValueError, match="overflows"):
         scale_to_zeta(np.ones(3), z0)
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        scale_to_zeta(np.zeros(3), 0.5)
 
 
 @st.composite
